@@ -10,7 +10,11 @@
 //! (input generation, reference digests, one warm-up op), then runs ops
 //! back to back for its share of `--seconds`. Every op's output is
 //! checked, and a failed check is a failed op. `setup_s` is the median
-//! set-up time of the children; the op metrics pool all their ops.
+//! set-up time of the children; the op metrics pool all their ops;
+//! `peak_rss_mib` is the median of the children's peaks. Every timing
+//! is divided by the machine's pace measured around it (see [`pace`]),
+//! so it reads in milliseconds (or seconds) at the reference pace; the
+//! wall figures go in the run's record next to it.
 //!
 //! `--trace 1` runs in one process, sets up once, alternates untraced
 //! and traced ops and reports the per-layer metrics, the op time no
@@ -23,10 +27,12 @@
 //! The last line of standard output is one JSON object with the keys
 //! `correct`, `attempted`, `failed` and `metrics`.
 
+mod pace;
 mod stats;
 mod trace;
 mod workloads;
 
+use pace::Pace;
 use stats::{median, tail};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -41,9 +47,9 @@ use workloads::{Fleet, Offline, OfflineSizes, RecoverSizes, ServeRecover, ServeS
 /// ops of several processes keeps run medians steady across runs.
 const SHARDS: usize = 4;
 
-/// Input sizes. Each op takes 0.4-0.7 s on a 2-core machine, so a 20 s
-/// run times 30-50 ops and the tail percentile (10 ops beyond it) sits
-/// near p70-p80.
+/// Input sizes. Each op takes 0.35-0.65 s on a 2-core machine, so a
+/// 25 s run times 35-60 ops and the tail percentile (10 ops beyond it)
+/// sits near p70-p80.
 const OFFLINE: OfflineSizes = OfflineSizes {
     makespan_n: 100_000,
     multi_n: 8_000,
@@ -146,6 +152,8 @@ struct Args {
     out: PathBuf,
     /// Run as one child of an untraced run (see [`SHARDS`]).
     shard: bool,
+    /// Run as the pace helper of a child (see [`pace`]).
+    pace: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -156,6 +164,7 @@ fn parse_args() -> Result<Args, String> {
         trace: false,
         out: PathBuf::from(".bench_build/perfbench"),
         shard: false,
+        pace: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -175,6 +184,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => a.out = PathBuf::from(v),
             "--shard" => a.shard = v == "1",
+            "--pace" => a.pace = v == "1",
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -251,16 +261,31 @@ struct Outcome {
 
 /// One child of an untraced run: set up, run ops for `--seconds`, and
 /// print the raw figures for the parent, one `key values...` line each.
+/// A pace helper process (see [`pace`]) is read after set-up and after
+/// every op; each op's time is divided by the geometric mean of the two
+/// readings around it, which follows the host's speed from one second
+/// to the next. Wall times are printed too, for the record.
 fn shard(args: &Args, dir: &Path) -> Result<(), String> {
     let mut off = Tracer::new(false);
     let (mut w, setup_s) = setup(args, dir, &mut off)?;
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let mut helper = std::process::Command::new(exe);
+    helper
+        .args(["--workload", &args.workload, "--pace", "1", "--out"])
+        .arg(&args.out);
+    let mut pace = Pace::spawn(helper)?;
+    let mut paces = vec![pace.read()?];
     let mut tally = Tally::default();
-    let (mut times, mut rates) = (Vec::new(), Vec::new());
+    let (mut times, mut walls, mut rates) = (Vec::new(), Vec::new(), Vec::new());
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < args.seconds {
         let (dt, jobs) = timed_op(w.as_mut(), &mut off, &mut tally);
-        times.push(dt);
-        rates.push(jobs / (dt / 1e3));
+        let before = paces[paces.len() - 1];
+        paces.push(pace.read()?);
+        let paced = dt / (before * paces[paces.len() - 1]).sqrt();
+        times.push(paced);
+        walls.push(dt);
+        rates.push(jobs / (paced / 1e3));
     }
     let join = |xs: &[f64]| {
         xs.iter()
@@ -272,7 +297,9 @@ fn shard(args: &Args, dir: &Path) -> Result<(), String> {
     println!("rss {}", peak_rss_mib());
     println!("tally {} {}", tally.attempted, tally.failed);
     println!("ops {}", join(&times));
+    println!("walls {}", join(&walls));
     println!("rates {}", join(&rates));
+    println!("paces {}", join(&paces));
     println!("sizes {}", sizes_json(&w.sizes()));
     if let Some(e) = tally.first_error {
         println!("error {}", e.replace('\n', " "));
@@ -286,7 +313,9 @@ struct Pooled {
     setups: Vec<f64>,
     rss: Vec<f64>,
     times: Vec<f64>,
+    walls: Vec<f64>,
     rates: Vec<f64>,
+    paces: Vec<f64>,
     sizes: String,
     tally: Tally,
 }
@@ -304,7 +333,9 @@ impl Pooled {
                 "setup" => self.setups.extend(nums()?),
                 "rss" => self.rss.extend(nums()?),
                 "ops" => self.times.extend(nums()?),
+                "walls" => self.walls.extend(nums()?),
                 "rates" => self.rates.extend(nums()?),
+                "paces" => self.paces.extend(nums()?),
                 "sizes" => self.sizes = rest.to_string(),
                 "tally" => {
                     let n = nums()?;
@@ -343,13 +374,16 @@ fn untraced(args: &Args) -> Result<Outcome, String> {
         pooled.add(&String::from_utf8_lossy(&child.stdout))?;
     }
     let p = pooled;
+    // Op times come paced from the children; set-up, which has no
+    // readings on both sides, is divided by the run's median pace.
+    let pace = median(&p.paces);
     let (tail_ms, tail_pct, beyond) = tail(&p.times);
     let error_rate = p.tally.failed as f64 / p.tally.attempted as f64;
-    let peak_rss = p.rss.iter().copied().fold(f64::NAN, f64::max);
-    let op_ms: Vec<String> = p.times.iter().map(|&x| num(x)).collect();
+    let peak_rss = median(&p.rss);
+    let wall_ms: Vec<String> = p.walls.iter().map(|&x| num(x)).collect();
     Ok(Outcome {
         metrics: vec![
-            ("setup_s".into(), median(&p.setups), "s"),
+            ("setup_s".into(), median(&p.setups) / pace, "s"),
             ("op_p50_ms".into(), median(&p.times), "ms"),
             ("op_tail_ms".into(), tail_ms, "ms"),
             ("jobs_per_s".into(), median(&p.rates), "1/s"),
@@ -358,10 +392,15 @@ fn untraced(args: &Args) -> Result<Outcome, String> {
         ],
         notes: vec![
             ("ops".into(), p.times.len().to_string()),
-            ("op_ms".into(), format!("[{}]", op_ms.join(", "))),
             ("op_tail_percentile".into(), format!("{tail_pct:.4}")),
             ("op_tail_ops_beyond".into(), beyond.to_string()),
             ("processes".into(), SHARDS.to_string()),
+            ("pace".into(), num(pace)),
+            ("pace_readings".into(), p.paces.len().to_string()),
+            ("wall_setup_s".into(), num(median(&p.setups))),
+            ("wall_op_p50_ms".into(), num(median(&p.walls))),
+            ("wall_op_tail_ms".into(), num(tail(&p.walls).0)),
+            ("wall_op_ms".into(), format!("[{}]", wall_ms.join(", "))),
             ("workload_sizes".into(), p.sizes),
         ],
         tally: p.tally,
@@ -625,7 +664,9 @@ fn main() {
         eprintln!("perfbench: cannot create {tmp:?}: {e}");
         std::process::exit(1);
     }
-    let result = if args.shard {
+    let result = if args.pace {
+        pace::serve(&tmp).map(|()| None)
+    } else if args.shard {
         shard(&args, &tmp).map(|()| None)
     } else if args.trace {
         traced(&args, &tmp).map(Some)
