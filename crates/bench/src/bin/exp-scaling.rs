@@ -1,226 +1,159 @@
 //! Print the `scaling` experiment tables as CSV to stdout.
 //!
 //! Modes:
-//! * no args — the E4/E5 makespan-solver sweep plus quick E19 (YDS),
-//!   E20 (flow), E21 (multiproc partition), and E22 (OA) sweeps with
-//!   the references capped so the run stays fast;
+//! * no args — the E4/E5 makespan-solver sweep plus the smoke tier of
+//!   every `BENCH_*` sweep (E19 YDS, E20 flow, E21 multiproc partition,
+//!   E22 OA, E23 faults, E24 serve, E13 policies, E25 fleet, E26
+//!   fleet-par) as CSV tables, references capped so the run stays fast;
 //! * `--bench-json [DIR]` — the acceptance sweeps written as per-path
-//!   bench files `DIR/BENCH_yds.json`, `DIR/BENCH_flow.json`,
-//!   `DIR/BENCH_multi.json`, `DIR/BENCH_oa.json`,
-//!   `DIR/BENCH_faults.json`, `DIR/BENCH_serve.json`,
-//!   `DIR/BENCH_policies.json`, `DIR/BENCH_fleet.json`, and
-//!   `DIR/BENCH_fleet_par.json` (default `.`), the perf-trajectory
-//!   records successive PRs compare against.
+//!   bench files `DIR/BENCH_<name>.json` (default DIR `.`), the
+//!   perf-trajectory records successive PRs compare against; each
+//!   sweep's CSV table goes to stdout as well.
 //!   Expect tens of minutes: the YDS reference is `O(n⁴)` through
 //!   n=2000, the flow reference curve is ~120 cold bisection solves of
 //!   an `O(iters·n)` engine at n=1000, and the multiproc reference is
 //!   an exponential branch and bound measured through the n=30/m=8
 //!   witness — that cost is the point. (The OA sweep is the cheap one:
 //!   its reference is `O(n·D log n)`, measured through n=20000.);
-//! * `--bench-json --smoke [DIR]` — the same files from a seconds-scale
-//!   tier (small sizes, capped references), exercised in CI so the bench
-//!   plumbing can never rot;
-//! * `--only yds` / `--only flow` / `--only multi` / `--only oa` /
-//!   `--only faults` / `--only serve` / `--only policies` /
-//!   `--only fleet` / `--only fleet-par` — restrict either mode to one
-//!   path (the other `BENCH_*.json` files are left untouched).
-use pas_bench::experiments::{faults, fleet, fleet_par, online_budget, scaling, serve};
+//! * `--smoke` — with `--bench-json`, the same files from a
+//!   seconds-scale tier (small sizes, capped references), exercised in
+//!   CI so the bench plumbing can never rot;
+//! * `--only NAME` — restrict either mode to one sweep, NAME one of
+//!   `yds flow oa faults serve policies fleet fleet-par multi` (the other
+//!   `BENCH_*.json` files are left untouched).
+//!
+//! DIR is the one positional argument and may appear anywhere. An
+//! unknown flag, a second positional, or a missing or unknown `--only`
+//! value exits with status 2 and the usage line.
+use pas_bench::experiments::{scaling, BENCHES};
+use std::path::PathBuf;
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// `Some(DIR)` in `--bench-json` mode.
+    json_dir: Option<PathBuf>,
+    smoke: bool,
+    only: Option<String>,
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = BENCHES.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage: exp-scaling [--bench-json [DIR]] [--smoke] [--only {}]",
+        names.join("|")
+    )
+}
+
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut bench_json = false;
+    let mut smoke = false;
+    let mut only = None;
+    let mut dir = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench-json" => bench_json = true,
+            "--smoke" => smoke = true,
+            "--only" => match args.next() {
+                Some(name) if BENCHES.iter().any(|(n, _)| *n == name) => only = Some(name.clone()),
+                Some(name) => return Err(format!("--only: unknown sweep `{name}`")),
+                None => return Err("--only needs a sweep name".to_string()),
+            },
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ if dir.is_some() => return Err(format!("unexpected second DIR `{arg}`")),
+            _ => dir = Some(PathBuf::from(arg)),
+        }
+    }
+    if dir.is_some() && !bench_json {
+        return Err("DIR needs --bench-json".to_string());
+    }
+    Ok(Args {
+        json_dir: bench_json.then(|| dir.unwrap_or_else(|| PathBuf::from("."))),
+        smoke,
+        only,
+    })
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let only = args
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv).unwrap_or_else(|err| {
+        eprintln!("exp-scaling: {err}\n{}", usage());
+        std::process::exit(2);
+    });
+    let selected = BENCHES
         .iter()
-        .position(|a| a == "--only")
-        .and_then(|p| args.get(p + 1))
-        .cloned();
-    if let Some(o) = only.as_deref() {
-        if ![
-            "yds",
-            "flow",
-            "multi",
-            "oa",
-            "faults",
-            "serve",
-            "policies",
-            "fleet",
-            "fleet-par",
-        ]
-        .contains(&o)
-        {
-            eprintln!(
-                "--only takes `yds`, `flow`, `multi`, `oa`, `faults`, `serve`, `policies`, `fleet`, or `fleet-par`, got `{o}`"
-            );
-            std::process::exit(2);
+        .filter(|(name, _)| args.only.as_deref().is_none_or(|o| o == *name));
+    let Some(dir) = args.json_dir else {
+        for table in scaling::run() {
+            table.print();
+            println!();
         }
-    }
-    let run_yds = only.as_deref().is_none_or(|o| o == "yds");
-    let run_flow = only.as_deref().is_none_or(|o| o == "flow");
-    let run_multi = only.as_deref().is_none_or(|o| o == "multi");
-    let run_oa = only.as_deref().is_none_or(|o| o == "oa");
-    let run_faults = only.as_deref().is_none_or(|o| o == "faults");
-    let run_serve = only.as_deref().is_none_or(|o| o == "serve");
-    let run_policies = only.as_deref().is_none_or(|o| o == "policies");
-    let run_fleet = only.as_deref().is_none_or(|o| o == "fleet");
-    let run_fleet_par = only.as_deref().is_none_or(|o| o == "fleet-par");
-
-    if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
-        let dir = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .filter(|a| !a.starts_with("--"))
-            .unwrap_or(".");
-        if run_yds {
-            let points = if smoke {
-                scaling::yds_scaling(&[64, 128], 128)
-            } else {
-                scaling::yds_scaling_default()
-            };
-            scaling::yds_table(&points).print();
-            let path = format!("{dir}/BENCH_yds.json");
-            std::fs::write(&path, scaling::yds_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_flow {
-            let points = if smoke {
-                scaling::flow_scaling_smoke()
-            } else {
-                scaling::flow_scaling_default()
-            };
-            scaling::flow_table(&points).print();
-            let path = format!("{dir}/BENCH_flow.json");
-            std::fs::write(&path, scaling::flow_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_multi {
-            let points = if smoke {
-                scaling::multi_scaling_smoke()
-            } else {
-                scaling::multi_scaling_default()
-            };
-            scaling::multi_table(&points).print();
-            let path = format!("{dir}/BENCH_multi.json");
-            std::fs::write(&path, scaling::multi_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_oa {
-            let points = if smoke {
-                scaling::oa_scaling_smoke()
-            } else {
-                scaling::oa_scaling_default()
-            };
-            scaling::oa_table(&points).print();
-            let path = format!("{dir}/BENCH_oa.json");
-            std::fs::write(&path, scaling::oa_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_faults {
-            let points = if smoke {
-                faults::faults_smoke()
-            } else {
-                faults::faults_default()
-            };
-            faults::faults_table(&points).print();
-            let path = format!("{dir}/BENCH_faults.json");
-            std::fs::write(&path, faults::faults_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_serve {
-            let points = if smoke {
-                serve::serve_smoke()
-            } else {
-                serve::serve_default()
-            };
-            serve::serve_table(&points).print();
-            let path = format!("{dir}/BENCH_serve.json");
-            std::fs::write(&path, serve::serve_bench_json(&points)).expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_policies {
-            let points = if smoke {
-                online_budget::policies_smoke()
-            } else {
-                online_budget::policies_default()
-            };
-            online_budget::policies_table(&points).print();
-            let path = format!("{dir}/BENCH_policies.json");
-            std::fs::write(&path, online_budget::policies_bench_json(&points))
-                .expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_fleet {
-            let points = if smoke {
-                fleet::fleet_smoke()
-            } else {
-                fleet::fleet_default()
-            };
-            let equivalence = fleet::single_host_equivalence();
-            fleet::fleet_table(&points).print();
-            let path = format!("{dir}/BENCH_fleet.json");
-            std::fs::write(&path, fleet::fleet_bench_json(&points, equivalence))
-                .expect("write BENCH json");
-            eprintln!("wrote {path}");
-        }
-        if run_fleet_par {
-            let (points, seed) = if smoke {
-                (fleet_par::fleet_par_smoke(), 11)
-            } else {
-                (fleet_par::fleet_par_default(), 11)
-            };
-            fleet_par::fleet_par_table(&points).print();
-            let path = format!("{dir}/BENCH_fleet_par.json");
-            std::fs::write(&path, fleet_par::fleet_par_bench_json(&points, seed))
-                .expect("write BENCH json");
-            eprintln!("wrote {path}");
+        for (_, bench) in selected {
+            bench(true).table().print();
+            println!();
         }
         return;
+    };
+    for (name, bench) in selected {
+        let file = bench(args.smoke);
+        file.table().print();
+        let json = file.to_json().expect("bench values are finite");
+        let path = dir.join(format!("BENCH_{}.json", name.replace('-', "_")));
+        std::fs::write(&path, json).expect("write BENCH json");
+        eprintln!("wrote {}", path.display());
     }
-    for table in scaling::run() {
-        table.print();
-        println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Args, String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
-    if run_yds {
-        let points = scaling::yds_scaling(&[64, 128, 256, 512, 1024], 512);
-        scaling::yds_table(&points).print();
-        println!();
+
+    #[test]
+    fn dir_is_positional_in_either_order() {
+        let want = Args {
+            json_dir: Some(PathBuf::from("/tmp/out")),
+            smoke: true,
+            only: Some("oa".to_string()),
+        };
+        for argv in [
+            ["--bench-json", "/tmp/out", "--smoke", "--only", "oa"],
+            ["--bench-json", "--smoke", "/tmp/out", "--only", "oa"],
+            ["--smoke", "--only", "oa", "--bench-json", "/tmp/out"],
+            ["/tmp/out", "--only", "oa", "--smoke", "--bench-json"],
+        ] {
+            assert_eq!(parse_strs(&argv).as_ref(), Ok(&want), "{argv:?}");
+        }
     }
-    if run_flow {
-        let points = scaling::flow_scaling(&[64, 256, 1024], 40, 256);
-        scaling::flow_table(&points).print();
-        println!();
+
+    #[test]
+    fn defaults() {
+        let quick = parse_strs(&[]).unwrap();
+        assert_eq!(quick.json_dir, None);
+        assert!(!quick.smoke && quick.only.is_none());
+        let json = parse_strs(&["--bench-json"]).unwrap();
+        assert_eq!(json.json_dir, Some(PathBuf::from(".")));
+        assert_eq!(
+            parse_strs(&["--only", "fleet-par"])
+                .unwrap()
+                .only
+                .as_deref(),
+            Some("fleet-par")
+        );
     }
-    if run_multi {
-        let points = scaling::multi_scaling_smoke();
-        scaling::multi_table(&points).print();
-        println!();
-    }
-    if run_oa {
-        let points = scaling::oa_scaling(&[256, 1_024, 4_096], 4_096);
-        scaling::oa_table(&points).print();
-        println!();
-    }
-    if run_faults {
-        let points = faults::faults_smoke();
-        faults::faults_table(&points).print();
-        println!();
-    }
-    if run_fleet {
-        let points = fleet::fleet_smoke();
-        fleet::fleet_table(&points).print();
-        println!();
-    }
-    if run_fleet_par {
-        let points = fleet_par::fleet_par_smoke();
-        fleet_par::fleet_par_table(&points).print();
-        println!();
-    }
-    if run_serve {
-        let points = serve::serve_smoke();
-        serve::serve_table(&points).print();
-        println!();
-    }
-    if run_policies {
-        let points = online_budget::policies_smoke();
-        online_budget::policies_table(&points).print();
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        assert!(parse_strs(&["--bogus"]).is_err());
+        assert!(parse_strs(&["--bench-json", ".", "-x"]).is_err());
+        assert!(parse_strs(&["--only"]).is_err());
+        assert!(parse_strs(&["--bench-json", "--only"]).is_err());
+        assert!(parse_strs(&["--only", "nope"]).is_err());
+        assert!(parse_strs(&["--bench-json", "a", "b"]).is_err());
+        assert!(parse_strs(&["somewhere"]).is_err());
     }
 }

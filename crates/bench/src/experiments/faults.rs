@@ -13,12 +13,13 @@
 //! recover with), and recovery latency tracks crash duration plus the
 //! re-planning delay of the first post-recovery decision.
 
-use crate::harness::{fmt, CsvTable};
+use crate::harness::{BenchFile, Row};
 use pas_core::online::{AdaptiveRate, FractionalSpend, SpendAll};
 use pas_power::PolyPower;
 use pas_sim::online::OnlinePolicy;
 use pas_sim::{metrics, run_online_with_faults, FaultModel, FaultPlan};
 use pas_workload::{generators, Instance};
+use serde::Serialize;
 
 /// One faulted run compared against its fault-free baseline.
 #[derive(Debug, Clone)]
@@ -78,6 +79,28 @@ impl FaultPoint {
     /// Faulted makespan over baseline makespan.
     pub fn makespan_stretch(&self) -> f64 {
         self.makespan / self.baseline_makespan
+    }
+
+    /// The point as a `BENCH_faults.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("workload", self.workload.to_value()),
+            ("policy", self.policy.to_value()),
+            ("rate", self.rate.to_value()),
+            ("seed", self.seed.to_value()),
+            ("energy_overhead", self.energy_overhead().to_value()),
+            ("flow_overhead", self.flow_overhead().to_value()),
+            ("makespan_stretch", self.makespan_stretch().to_value()),
+            ("crashes", self.crashes.to_value()),
+            ("downtime", self.downtime.to_value()),
+            ("lost_work", self.lost_work.to_value()),
+            ("wasted_energy", self.wasted_energy.to_value()),
+            ("cancelled_jobs", self.cancelled_jobs.to_value()),
+            ("burst_jobs", self.burst_jobs.to_value()),
+            ("throttle_clamps", self.throttle_clamps.to_value()),
+            ("max_recovery_latency", self.max_recovery_latency.to_value()),
+            ("deadline_misses", self.deadline_misses.to_value()),
+        ]
     }
 }
 
@@ -184,107 +207,38 @@ pub fn fault_resilience(n: usize, rates: &[f64], seeds: u64) -> Vec<FaultPoint> 
     points
 }
 
-/// The acceptance-tier sweep.
-pub fn faults_default() -> Vec<FaultPoint> {
-    fault_resilience(60, &[0.02, 0.05, 0.1, 0.2, 0.4], 5)
+/// `BENCH_faults.json`: the acceptance tier (60 jobs, five rates, five
+/// seeds) or the seconds-scale smoke tier exercised in CI.
+pub fn bench(smoke: bool) -> BenchFile {
+    file(&if smoke {
+        fault_resilience(12, &[0.05, 0.2], 2)
+    } else {
+        fault_resilience(60, &[0.02, 0.05, 0.1, 0.2, 0.4], 5)
+    })
 }
 
-/// The smoke-tier sweep: seconds-scale, exercised in CI.
-pub fn faults_smoke() -> Vec<FaultPoint> {
-    fault_resilience(12, &[0.05, 0.2], 2)
-}
-
-/// Render points as the `fault_resilience` CSV table.
-pub fn faults_table(points: &[FaultPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
+fn file(points: &[FaultPoint]) -> BenchFile {
+    BenchFile::new(
         "fault_resilience",
-        &[
-            "workload",
-            "policy",
-            "rate",
-            "seed",
-            "energy_overhead",
-            "flow_overhead",
-            "makespan_stretch",
-            "crashes",
-            "downtime",
-            "lost_work",
-            "wasted_energy",
-            "cancelled_jobs",
-            "burst_jobs",
-            "throttle_clamps",
-            "max_recovery_latency",
-            "deadline_misses",
+        vec![
+            (
+                "fault_model",
+                "uniform_mix(rate): crash/cancel/throttle/burst at rate/4 each, seeded Poisson arrivals".to_value(),
+            ),
+            (
+                "metric",
+                "faulted-over-baseline overheads plus ResilienceReport counters".to_value(),
+            ),
         ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.workload.to_string(),
-            p.policy.clone(),
-            format!("{}", p.rate),
-            p.seed.to_string(),
-            fmt(p.energy_overhead()),
-            fmt(p.flow_overhead()),
-            fmt(p.makespan_stretch()),
-            p.crashes.to_string(),
-            fmt(p.downtime),
-            fmt(p.lost_work),
-            fmt(p.wasted_energy),
-            p.cancelled_jobs.to_string(),
-            p.burst_jobs.to_string(),
-            p.throttle_clamps.to_string(),
-            fmt(p.max_recovery_latency),
-            p.deadline_misses.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Render points as the `BENCH_faults.json` document — the resilience
-/// path's trajectory record, sibling to the other `BENCH_*` files.
-pub fn faults_bench_json(points: &[FaultPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fault_resilience\",\n");
-    out.push_str(
-        "  \"fault_model\": \"uniform_mix(rate): crash/cancel/throttle/burst at rate/4 each, seeded Poisson arrivals\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"faulted-over-baseline overheads plus ResilienceReport counters\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"policy\": \"{}\", \"rate\": {}, \"seed\": {}, \"energy_overhead\": {:.6}, \"flow_overhead\": {:.6}, \"makespan_stretch\": {:.6}, \"crashes\": {}, \"downtime\": {:.6}, \"lost_work\": {:.6}, \"wasted_energy\": {:.6}, \"cancelled_jobs\": {}, \"burst_jobs\": {}, \"throttle_clamps\": {}, \"max_recovery_latency\": {:.6}, \"deadline_misses\": {}}}{}\n",
-            p.workload,
-            p.policy,
-            p.rate,
-            p.seed,
-            p.energy_overhead(),
-            p.flow_overhead(),
-            p.makespan_stretch(),
-            p.crashes,
-            p.downtime,
-            p.lost_work,
-            p.wasted_energy,
-            p.cancelled_jobs,
-            p.burst_jobs,
-            p.throttle_clamps,
-            p.max_recovery_latency,
-            p.deadline_misses,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run() -> Vec<CsvTable> {
-    vec![faults_table(&faults_smoke())]
+        points.iter().map(FaultPoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::get;
+    use serde::Value;
 
     #[test]
     fn sweep_covers_the_matrix_and_baselines_are_clean() {
@@ -313,17 +267,16 @@ mod tests {
     }
 
     #[test]
-    fn json_and_table_agree_on_row_count() {
+    fn bench_file_has_one_row_per_point() {
         let points = fault_resilience(8, &[0.2], 1);
-        let table = faults_table(&points);
-        assert_eq!(table.rows.len(), points.len());
-        let json = faults_bench_json(&points);
-        assert_eq!(
-            json.matches("\"workload\"").count(),
-            points.len(),
-            "one JSON object per point"
-        );
-        assert!(json.ends_with("  ]\n}\n"));
+        let file = file(&points);
+        assert_eq!(file.bench, "fault_resilience");
+        assert!(get(&file.header, "fault_model").is_some());
+        assert_eq!(file.rows.len(), points.len());
+        for (row, p) in file.rows.iter().zip(&points) {
+            assert_eq!(get(row, "policy"), Some(&Value::Str(p.policy.clone())));
+            assert_eq!(get(row, "crashes"), Some(&Value::Num(p.crashes as f64)));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! arrival), static energy grows with host count (more idle floors to
 //! pay), and the digest is bit-stable across re-runs of the same sweep.
 //!
-//! The JSON document also embeds the single-host equivalence check —
+//! The bench document also embeds the single-host equivalence check —
 //! a 1-host fleet re-run against the bare `pas_sim` engine at digest
 //! level — so the perf record is self-certifying: a trajectory entry
 //! with `"single_host_equivalence": false` is evidence of a correctness
@@ -19,12 +19,15 @@
 
 use std::time::Instant;
 
-use crate::harness::{fmt, CsvTable};
-use pas_fleet::{run, DispatchPolicy, EnginePower, FleetScenario, HostConfig, HostPolicy};
+use crate::harness::{BenchFile, Row};
+use pas_fleet::{
+    run, DispatchPolicy, EnginePower, FleetScenario, HostConfig, HostPolicy, PhaseBreakdown,
+};
 use pas_power::{DiscreteSpeeds, HostPower, PolyPower, SleepConfig};
 use pas_sim::journal::outcome_digest;
 use pas_sim::run_online_with_faults;
 use pas_workload::{generators, Instance};
+use serde::{Serialize, Value};
 
 /// One fleet run at one host count.
 #[derive(Debug, Clone)]
@@ -39,14 +42,8 @@ pub struct FleetScalingPoint {
     pub seed: u64,
     /// Wall time of the full run (dispatch + every host engine).
     pub wall_ms: f64,
-    /// Phase 1 (event calendar + routing) wall time.
-    pub dispatch_ms: f64,
-    /// Grouped trace→tasks partition pass wall time.
-    pub partition_ms: f64,
-    /// Parallel per-host engine phase wall time.
-    pub execute_ms: f64,
-    /// Id-order aggregation + digest fold wall time.
-    pub reduce_ms: f64,
+    /// The run's per-phase wall times.
+    pub phases: PhaseBreakdown,
     /// Engine-metered dynamic energy across the fleet.
     pub dynamic_energy: f64,
     /// Idle/sleep static energy across the fleet.
@@ -63,6 +60,41 @@ pub struct FleetScalingPoint {
     pub sleep_transitions: usize,
     /// The fleet digest (bit-stable across re-runs).
     pub digest: u64,
+}
+
+impl FleetScalingPoint {
+    /// The point as a `BENCH_fleet.json` row.
+    pub fn row(&self) -> Row {
+        let mut row = vec![
+            ("hosts", self.hosts.to_value()),
+            ("jobs", self.jobs.to_value()),
+            ("dispatch", self.dispatch.to_value()),
+            ("seed", self.seed.to_value()),
+            ("wall_ms", self.wall_ms.to_value()),
+        ];
+        row.extend(phase_cells(&self.phases));
+        row.extend([
+            ("dynamic_energy", self.dynamic_energy.to_value()),
+            ("static_energy", self.static_energy.to_value()),
+            ("total_flow", self.total_flow.to_value()),
+            ("makespan", self.makespan.to_value()),
+            ("completed_jobs", self.completed_jobs.to_value()),
+            ("shed_jobs", self.shed_jobs.to_value()),
+            ("sleep_transitions", self.sleep_transitions.to_value()),
+            ("digest", format!("{:016x}", self.digest).to_value()),
+        ]);
+        row
+    }
+}
+
+/// The `*_ms` phase columns shared by the E25 and E26 rows.
+pub(crate) fn phase_cells(phases: &PhaseBreakdown) -> [(&'static str, Value); 4] {
+    [
+        ("dispatch_ms", phases.dispatch_ms.to_value()),
+        ("partition_ms", phases.partition_ms.to_value()),
+        ("execute_ms", phases.execute_ms.to_value()),
+        ("reduce_ms", phases.reduce_ms.to_value()),
+    ]
 }
 
 /// The four cycling host archetypes: the heterogeneity axis of the
@@ -123,6 +155,15 @@ pub fn fleet_workload(hosts: usize, jobs_per_host: usize, seed: u64) -> Instance
     generators::heavy_tailed(n, n as f64 / 50.0, 0.2, 8.0, 1.5, seed)
 }
 
+/// The E25 scenario at one fleet size: the cycling archetypes serving
+/// [`fleet_workload`], round-robin dispatch. E26 runs it verbatim.
+pub(crate) fn scenario(hosts: usize, jobs_per_host: usize, seed: u64) -> FleetScenario {
+    let workload = fleet_workload(hosts, jobs_per_host, seed);
+    let horizon = workload.last_release() + 50.0;
+    let host_cfgs = (0..hosts as u32).map(archetype).collect();
+    FleetScenario::new(host_cfgs, workload, horizon, seed)
+}
+
 /// Run the sweep over `host_counts`, all three dispatch policies per
 /// count.
 pub fn fleet_scaling(
@@ -133,29 +174,24 @@ pub fn fleet_scaling(
     let mut points = Vec::new();
     for &hosts in host_counts {
         assert!(hosts > 0, "host counts must be positive");
-        let workload = fleet_workload(hosts, jobs_per_host, seed);
-        let horizon = workload.last_release() + 50.0;
+        let base = scenario(hosts, jobs_per_host, seed);
         for dispatch in [
             DispatchPolicy::RoundRobin,
             DispatchPolicy::LeastAssigned,
             DispatchPolicy::WeightedFastest,
         ] {
-            let host_cfgs: Vec<HostConfig> = (0..hosts as u32).map(archetype).collect();
-            let mut scenario = FleetScenario::new(host_cfgs, workload.clone(), horizon, seed);
+            let mut scenario = base.clone();
             scenario.dispatch = dispatch;
             let t = Instant::now();
             let out = run(&scenario).expect("fleet run succeeds");
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             points.push(FleetScalingPoint {
                 hosts,
-                jobs: workload.len(),
+                jobs: scenario.workload.len(),
                 dispatch: dispatch_name(dispatch),
                 seed,
                 wall_ms,
-                dispatch_ms: out.timings.dispatch_ms,
-                partition_ms: out.timings.partition_ms,
-                execute_ms: out.timings.execute_ms,
-                reduce_ms: out.timings.reduce_ms,
+                phases: out.timings,
                 dynamic_energy: out.dynamic_energy,
                 static_energy: out.static_energy,
                 total_flow: out.total_flow,
@@ -194,114 +230,47 @@ pub fn single_host_equivalence() -> bool {
     }
 }
 
-/// The acceptance-tier sweep: host-count scaling through 1000+ hosts.
-pub fn fleet_default() -> Vec<FleetScalingPoint> {
-    fleet_scaling(&[10, 100, 400, 1000], 20, 11)
+/// The seed of every E25 sweep point (and of the E26 curve, whose
+/// digests must match E25's).
+pub(crate) const SEED: u64 = 11;
+
+/// `BENCH_fleet.json`: host-count scaling through 1000 hosts at the
+/// full tier, a seconds-scale sweep at the smoke tier exercised in CI.
+pub fn bench(smoke: bool) -> BenchFile {
+    file(&if smoke {
+        fleet_scaling(&[4, 16], 8, SEED)
+    } else {
+        fleet_scaling(&[10, 100, 400, 1000], 20, SEED)
+    })
 }
 
-/// The smoke-tier sweep: seconds-scale, exercised in CI.
-pub fn fleet_smoke() -> Vec<FleetScalingPoint> {
-    fleet_scaling(&[4, 16], 8, 11)
-}
-
-/// Render points as the `fleet_scaling` CSV table.
-pub fn fleet_table(points: &[FleetScalingPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
+/// The document embeds [`single_host_equivalence`], so the perf record
+/// certifies the fleet layer is still semantically transparent.
+fn file(points: &[FleetScalingPoint]) -> BenchFile {
+    BenchFile::new(
         "fleet_scaling",
-        &[
-            "hosts",
-            "jobs",
-            "dispatch",
-            "seed",
-            "wall_ms",
-            "dispatch_ms",
-            "partition_ms",
-            "execute_ms",
-            "reduce_ms",
-            "dynamic_energy",
-            "static_energy",
-            "total_flow",
-            "makespan",
-            "completed_jobs",
-            "shed_jobs",
-            "sleep_transitions",
-            "digest",
+        vec![
+            (
+                "fleet",
+                "4 cycling host archetypes (cubic, ladder+qOA, idle+sleep+BKP, capped ladder) on heavy-tailed Poisson traffic".to_value(),
+            ),
+            (
+                "metric",
+                "wall time + fleet-level energy/flow/shed/sleep per host count and dispatch policy".to_value(),
+            ),
+            (
+                "single_host_equivalence",
+                single_host_equivalence().to_value(),
+            ),
         ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.hosts.to_string(),
-            p.jobs.to_string(),
-            p.dispatch.to_string(),
-            p.seed.to_string(),
-            fmt(p.wall_ms),
-            fmt(p.dispatch_ms),
-            fmt(p.partition_ms),
-            fmt(p.execute_ms),
-            fmt(p.reduce_ms),
-            fmt(p.dynamic_energy),
-            fmt(p.static_energy),
-            fmt(p.total_flow),
-            fmt(p.makespan),
-            p.completed_jobs.to_string(),
-            p.shed_jobs.to_string(),
-            p.sleep_transitions.to_string(),
-            format!("{:016x}", p.digest),
-        ]);
-    }
-    table
-}
-
-/// Render points as the `BENCH_fleet.json` document. `equivalence` is
-/// the result of [`single_host_equivalence`], embedded so the perf
-/// record certifies the fleet layer is still semantically transparent.
-pub fn fleet_bench_json(points: &[FleetScalingPoint], equivalence: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fleet_scaling\",\n");
-    out.push_str(
-        "  \"fleet\": \"4 cycling host archetypes (cubic, ladder+qOA, idle+sleep+BKP, capped ladder) on heavy-tailed Poisson traffic\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"wall time + fleet-level energy/flow/shed/sleep per host count and dispatch policy\",\n",
-    );
-    out.push_str(&format!(
-        "  \"single_host_equivalence\": {equivalence},\n  \"points\": [\n"
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"hosts\": {}, \"jobs\": {}, \"dispatch\": \"{}\", \"seed\": {}, \"wall_ms\": {:.3}, \"dispatch_ms\": {:.3}, \"partition_ms\": {:.3}, \"execute_ms\": {:.3}, \"reduce_ms\": {:.3}, \"dynamic_energy\": {:.6}, \"static_energy\": {:.6}, \"total_flow\": {:.6}, \"makespan\": {:.6}, \"completed_jobs\": {}, \"shed_jobs\": {}, \"sleep_transitions\": {}, \"digest\": \"{:016x}\"}}{}\n",
-            p.hosts,
-            p.jobs,
-            p.dispatch,
-            p.seed,
-            p.wall_ms,
-            p.dispatch_ms,
-            p.partition_ms,
-            p.execute_ms,
-            p.reduce_ms,
-            p.dynamic_energy,
-            p.static_energy,
-            p.total_flow,
-            p.makespan,
-            p.completed_jobs,
-            p.shed_jobs,
-            p.sleep_transitions,
-            p.digest,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run_experiment() -> Vec<CsvTable> {
-    vec![fleet_table(&fleet_smoke())]
+        points.iter().map(FleetScalingPoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::get;
 
     #[test]
     fn smoke_sweep_covers_the_matrix_and_is_deterministic() {
@@ -318,9 +287,8 @@ mod tests {
             assert!(p.static_energy > 0.0, "idle archetypes must charge, {p:?}");
             assert!(p.completed_jobs > 0, "{p:?}");
             assert!(p.makespan > 0.0, "{p:?}");
-            let breakdown = p.dispatch_ms + p.partition_ms + p.execute_ms + p.reduce_ms;
             assert!(
-                breakdown <= p.wall_ms + 1.0,
+                p.phases.total_ms() <= p.wall_ms + 1.0,
                 "phase breakdown exceeds the wall it decomposes, {p:?}"
             );
         }
@@ -332,13 +300,16 @@ mod tests {
     }
 
     #[test]
-    fn json_embeds_the_gate_and_one_object_per_point() {
+    fn bench_file_embeds_the_gate_and_one_row_per_point() {
         let points = fleet_scaling(&[2], 3, 1);
-        let json = fleet_bench_json(&points, true);
-        assert!(json.contains("\"single_host_equivalence\": true"));
-        assert_eq!(json.matches("\"hosts\"").count(), points.len());
-        assert!(json.ends_with("  ]\n}\n"));
-        let table = fleet_table(&points);
-        assert_eq!(table.rows.len(), points.len());
+        let file = file(&points);
+        assert_eq!(file.bench, "fleet_scaling");
+        assert_eq!(
+            get(&file.header, "single_host_equivalence"),
+            Some(&Value::Bool(true))
+        );
+        assert_eq!(file.rows.len(), points.len());
+        let digest = format!("{:016x}", points[0].digest);
+        assert_eq!(get(&file.rows[0], "digest"), Some(&Value::Str(digest)));
     }
 }

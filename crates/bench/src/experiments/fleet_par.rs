@@ -20,10 +20,11 @@
 
 use std::time::Instant;
 
-use crate::harness::{fmt, CsvTable};
-use pas_fleet::{run_with, FleetScenario};
+use crate::harness::{BenchFile, Row};
+use pas_fleet::{run_with, PhaseBreakdown};
+use serde::Serialize;
 
-use super::fleet::{archetype, fleet_workload};
+use super::fleet::{phase_cells, scenario, SEED};
 
 /// One run of the fixed scenario at one worker count.
 #[derive(Debug, Clone)]
@@ -34,18 +35,27 @@ pub struct FleetParPoint {
     pub hosts: usize,
     /// Total jobs dispatched.
     pub jobs: usize,
+    /// Seed of the scenario.
+    pub seed: u64,
     /// Wall time of the full run.
     pub wall_ms: f64,
-    /// Phase 1 (event calendar + routing) wall time.
-    pub dispatch_ms: f64,
-    /// Grouped trace→tasks partition pass wall time.
-    pub partition_ms: f64,
-    /// Parallel per-host engine phase wall time.
-    pub execute_ms: f64,
-    /// Id-order aggregation + digest fold wall time.
-    pub reduce_ms: f64,
+    /// The run's per-phase wall times.
+    pub phases: PhaseBreakdown,
     /// The fleet digest (must match across every worker count).
     pub digest: u64,
+}
+
+impl FleetParPoint {
+    /// The point as a `BENCH_fleet_par.json` row.
+    pub fn row(&self) -> Row {
+        let mut row = vec![
+            ("workers", self.workers.to_value()),
+            ("wall_ms", self.wall_ms.to_value()),
+        ];
+        row.extend(phase_cells(&self.phases));
+        row.push(("digest", format!("{:016x}", self.digest).to_value()));
+        row
+    }
 }
 
 /// Run the fixed scenario once per worker count. The scenario is the
@@ -58,10 +68,7 @@ pub fn fleet_par_sweep(
     workers: &[usize],
 ) -> Vec<FleetParPoint> {
     assert!(hosts > 0, "host count must be positive");
-    let workload = fleet_workload(hosts, jobs_per_host, seed);
-    let horizon = workload.last_release() + 50.0;
-    let host_cfgs: Vec<_> = (0..hosts as u32).map(archetype).collect();
-    let scenario = FleetScenario::new(host_cfgs, workload, horizon, seed);
+    let scenario = scenario(hosts, jobs_per_host, seed);
     workers
         .iter()
         .map(|&w| {
@@ -73,27 +80,51 @@ pub fn fleet_par_sweep(
                 workers: w,
                 hosts,
                 jobs: scenario.workload.len(),
+                seed,
                 wall_ms,
-                dispatch_ms: out.timings.dispatch_ms,
-                partition_ms: out.timings.partition_ms,
-                execute_ms: out.timings.execute_ms,
-                reduce_ms: out.timings.reduce_ms,
+                phases: out.timings,
                 digest: out.digest,
             }
         })
         .collect()
 }
 
-/// The acceptance-tier curve: the 1000-host / 20000-job E25 point under
-/// 1, 2, 4, and 8 workers.
-pub fn fleet_par_default() -> Vec<FleetParPoint> {
-    fleet_par_sweep(1000, 20, 11, &[1, 2, 4, 8])
+/// `BENCH_fleet_par.json`. The full tier is the 1000-host / 20000-job
+/// E25 point under 1, 2, 4, and 8 workers; the smoke tier (seconds,
+/// exercised in CI) matches the E25 smoke point `{hosts: 16, dispatch:
+/// round_robin}` digest.
+pub fn bench(smoke: bool) -> BenchFile {
+    file(&if smoke {
+        fleet_par_sweep(16, 8, SEED, &[1, 2, 3])
+    } else {
+        fleet_par_sweep(1000, 20, SEED, &[1, 2, 4, 8])
+    })
 }
 
-/// The smoke-tier curve: seconds-scale, exercised in CI. Matches the
-/// E25 smoke point `{hosts: 16, dispatch: round_robin}` digest.
-pub fn fleet_par_smoke() -> Vec<FleetParPoint> {
-    fleet_par_sweep(16, 8, 11, &[1, 2, 3])
+/// The header carries the scenario (taken from the sweep's points) and
+/// the two gates CI asserts: `digest_invariant` and `speedup_vs_1thread`.
+fn file(points: &[FleetParPoint]) -> BenchFile {
+    let mut header = vec![(
+        "metric",
+        "wall time of one fixed fleet scenario (E25 round-robin config) per worker count; digests must be invariant".to_value(),
+    )];
+    if let Some(p) = points.first() {
+        header.extend([
+            ("hosts", p.hosts.to_value()),
+            ("jobs", p.jobs.to_value()),
+            ("seed", p.seed.to_value()),
+            ("dispatch", "round_robin".to_value()),
+        ]);
+    }
+    header.extend([
+        ("digest_invariant", digest_invariant(points).to_value()),
+        ("speedup_vs_1thread", speedup_vs_1thread(points).to_value()),
+    ]);
+    BenchFile::new(
+        "fleet_par",
+        header,
+        points.iter().map(FleetParPoint::row).collect(),
+    )
 }
 
 /// True when every point on the curve carries the same digest.
@@ -117,88 +148,11 @@ pub fn speedup_vs_1thread(points: &[FleetParPoint]) -> f64 {
     wall_1 / best
 }
 
-/// Render points as the `fleet_par` CSV table.
-pub fn fleet_par_table(points: &[FleetParPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
-        "fleet_par",
-        &[
-            "workers",
-            "hosts",
-            "jobs",
-            "wall_ms",
-            "dispatch_ms",
-            "partition_ms",
-            "execute_ms",
-            "reduce_ms",
-            "digest",
-        ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.workers.to_string(),
-            p.hosts.to_string(),
-            p.jobs.to_string(),
-            fmt(p.wall_ms),
-            fmt(p.dispatch_ms),
-            fmt(p.partition_ms),
-            fmt(p.execute_ms),
-            fmt(p.reduce_ms),
-            format!("{:016x}", p.digest),
-        ]);
-    }
-    table
-}
-
-/// Render points as the `BENCH_fleet_par.json` document.
-pub fn fleet_par_bench_json(points: &[FleetParPoint], seed: u64) -> String {
-    let parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"fleet_par\",\n");
-    out.push_str(
-        "  \"metric\": \"wall time of one fixed fleet scenario (E25 round-robin config) per worker count; digests must be invariant\",\n",
-    );
-    if let Some(p) = points.first() {
-        out.push_str(&format!(
-            "  \"hosts\": {}, \"jobs\": {}, \"seed\": {}, \"dispatch\": \"round_robin\",\n",
-            p.hosts, p.jobs, seed
-        ));
-    }
-    out.push_str(&format!("  \"parallelism\": {parallelism},\n"));
-    out.push_str(&format!(
-        "  \"digest_invariant\": {},\n",
-        digest_invariant(points)
-    ));
-    out.push_str(&format!(
-        "  \"speedup_vs_1thread\": {:.3},\n  \"points\": [\n",
-        speedup_vs_1thread(points)
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"wall_ms\": {:.3}, \"dispatch_ms\": {:.3}, \"partition_ms\": {:.3}, \"execute_ms\": {:.3}, \"reduce_ms\": {:.3}, \"digest\": \"{:016x}\"}}{}\n",
-            p.workers,
-            p.wall_ms,
-            p.dispatch_ms,
-            p.partition_ms,
-            p.execute_ms,
-            p.reduce_ms,
-            p.digest,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run_experiment() -> Vec<CsvTable> {
-    vec![fleet_par_table(&fleet_par_smoke())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::get;
+    use serde::Value;
 
     #[test]
     fn smoke_curve_is_digest_invariant_and_matches_e25() {
@@ -217,15 +171,18 @@ mod tests {
     }
 
     #[test]
-    fn json_records_the_gates() {
+    fn bench_file_records_the_scenario_and_gates() {
         let points = fleet_par_sweep(3, 2, 1, &[1, 2]);
-        let json = fleet_par_bench_json(&points, 1);
-        assert!(json.contains("\"digest_invariant\": true"));
-        assert!(json.contains("\"speedup_vs_1thread\""));
-        assert!(json.contains("\"parallelism\""));
-        assert_eq!(json.matches("\"workers\"").count(), points.len());
-        assert!(json.ends_with("  ]\n}\n"));
-        let table = fleet_par_table(&points);
-        assert_eq!(table.rows.len(), points.len());
+        let file = file(&points);
+        assert_eq!(file.bench, "fleet_par");
+        let header = |key| get(&file.header, key).cloned();
+        assert_eq!(header("digest_invariant"), Some(Value::Bool(true)));
+        let speedup = header("speedup_vs_1thread").and_then(|v| v.as_num());
+        assert!(speedup.is_some_and(|s| s >= 1.0), "{speedup:?}");
+        assert!(header("parallelism").and_then(|v| v.as_num()).is_some());
+        assert_eq!(header("hosts"), Some(Value::Num(3.0)));
+        assert_eq!(header("jobs"), Some(Value::Num(points[0].jobs as f64)));
+        assert_eq!(header("seed"), Some(Value::Num(1.0)));
+        assert_eq!(file.rows.len(), points.len());
     }
 }

@@ -36,9 +36,29 @@ pub mod scaling;
 pub mod serve;
 pub mod temperature;
 
-use crate::harness::CsvTable;
+use crate::harness::{BenchFile, CsvTable};
 
-/// Run every experiment (used by `exp-all`).
+/// A bench sweep: `bench(smoke)` runs its smoke or full tier.
+pub type Bench = fn(bool) -> BenchFile;
+
+/// Every `BENCH_*.json` sweep as `(name, bench)`: `name` is the
+/// `exp-scaling --only` value and, with `-` read as `_`, the file stem.
+/// The multi sweep comes last because its censored reference runs
+/// leave threads spinning until the process exits.
+pub const BENCHES: [(&str, Bench); 9] = [
+    ("yds", scaling::yds_bench),
+    ("flow", scaling::flow_bench),
+    ("oa", scaling::oa_bench),
+    ("faults", faults::bench),
+    ("serve", serve::bench),
+    ("policies", online_budget::policies_bench),
+    ("fleet", fleet::bench),
+    ("fleet-par", fleet_par::bench),
+    ("multi", scaling::multi_bench),
+];
+
+/// Run every experiment (used by `exp-all`), the `BENCH_*` sweeps at
+/// their smoke tier.
 pub fn run_all() -> Vec<CsvTable> {
     let mut tables = Vec::new();
     tables.extend(figures::run());
@@ -53,9 +73,6 @@ pub fn run_all() -> Vec<CsvTable> {
     tables.extend(precedence_dag::run());
     tables.extend(temperature::run());
     tables.extend(bounded_speed::run());
-    tables.extend(faults::run());
-    tables.extend(serve::run());
-    tables.extend(fleet::run_experiment());
-    tables.extend(fleet_par::run_experiment());
+    tables.extend(BENCHES.iter().map(|(_, bench)| bench(true).table()));
     tables
 }

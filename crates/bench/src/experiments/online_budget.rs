@@ -8,13 +8,14 @@
 //! tension §6 describes); the clairvoyant constant-speed baseline is
 //! near 1 on dense inputs but pays for idle gaps.
 
-use crate::harness::{fmt, time_min, CsvTable};
+use crate::harness::{fmt, time_min, BenchFile, CsvTable, Row};
 use pas_core::online::{
     compare_online, AdaptiveRate, Bkp, ConstantSpeed, FractionalSpend, Qoa, SpendAll,
 };
 use pas_power::PolyPower;
 use pas_sim::online::OnlinePolicy;
 use pas_workload::{generators, Instance};
+use serde::Serialize;
 
 /// Produce the policy-ratio table.
 pub fn run() -> Vec<CsvTable> {
@@ -77,34 +78,19 @@ pub fn run() -> Vec<CsvTable> {
 /// even at `n = 20000` — the scale the previous `O(n²)` engine could
 /// not reach.
 pub fn scaling_table(sizes: &[usize]) -> CsvTable {
-    let model = PolyPower::CUBE;
-    let mut table = CsvTable::new(
-        "online_budget_scaling",
-        &["n", "policy", "seconds", "ratio", "within_budget"],
-    );
-    for &n in sizes {
-        let instance = generators::poisson(n, 0.8, (0.5, 1.5), 7);
-        let budget = 1.5 * instance.total_work();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
+    let rows = scale_points(sizes).iter().map(PolicyPoint::row).collect();
+    BenchFile::new("online_budget_scaling", vec![], rows).table()
+}
+
+fn scale_points(sizes: &[usize]) -> Vec<PolicyPoint> {
+    policy_sweep(sizes, |model, budget| {
+        vec![
             Box::new(AdaptiveRate::new(model, budget, 10.0)),
             Box::new(FractionalSpend::new(model, budget, 0.5)),
             Box::new(Qoa::new(model, 1.5, 3.0, 8.0)),
             Box::new(Bkp::default()),
-        ];
-        for policy in policies.iter_mut() {
-            let (report, secs) = time_min(1, || {
-                compare_online(&instance, &model, budget, policy.as_mut()).expect("runs")
-            });
-            table.push_row(vec![
-                n.to_string(),
-                policy.name(),
-                fmt(secs),
-                fmt(report.ratio),
-                report.within_budget.to_string(),
-            ]);
-        }
-    }
-    table
+        ]
+    })
 }
 
 /// One rung of the policy ratio-vs-n ladder (`BENCH_policies.json`).
@@ -120,6 +106,19 @@ pub struct PolicyPoint {
     pub within_budget: bool,
     /// Wall-clock for the online run + offline frontier, seconds.
     pub seconds: f64,
+}
+
+impl PolicyPoint {
+    /// The point as a `BENCH_policies.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("policy", self.policy.to_value()),
+            ("n", self.n.to_value()),
+            ("ratio", self.ratio.to_value()),
+            ("within_budget", self.within_budget.to_value()),
+            ("seconds", self.seconds.to_value()),
+        ]
+    }
 }
 
 /// A policy's ratios in ladder (ascending-`n`) order.
@@ -171,18 +170,29 @@ fn classify(points: &[PolicyPoint], pred: impl Fn(f64, f64, bool) -> bool) -> Ve
 /// global-energy-share policies degrade — AdaptiveRate's ratio grows
 /// with `n` and SpendAll is saturated at the floor-speed crawl.
 pub fn policies_ladder(sizes: &[usize]) -> Vec<PolicyPoint> {
+    policy_sweep(sizes, |model, budget| {
+        vec![
+            Box::new(Qoa::new(model, 1.5, 3.0, 8.0)),
+            Box::new(Bkp::default()),
+            Box::new(AdaptiveRate::new(model, budget, 10.0)),
+            Box::new(SpendAll::new(model, budget)),
+        ]
+    })
+}
+
+/// Every policy `policies(model, budget)` builds, compared against the
+/// offline frontier at each size of a Poisson stream (rate 0.8, seed 7,
+/// budget 1.5× total work).
+fn policy_sweep(
+    sizes: &[usize],
+    policies: impl Fn(PolyPower, f64) -> Vec<Box<dyn OnlinePolicy>>,
+) -> Vec<PolicyPoint> {
     let model = PolyPower::CUBE;
     let mut points = Vec::new();
     for &n in sizes {
         let instance = generators::poisson(n, 0.8, (0.5, 1.5), 7);
         let budget = 1.5 * instance.total_work();
-        let mut policies: Vec<Box<dyn OnlinePolicy>> = vec![
-            Box::new(Qoa::new(model, 1.5, 3.0, 8.0)),
-            Box::new(Bkp::default()),
-            Box::new(AdaptiveRate::new(model, budget, 10.0)),
-            Box::new(SpendAll::new(model, budget)),
-        ];
-        for policy in policies.iter_mut() {
+        for mut policy in policies(model, budget) {
             let (report, secs) = time_min(1, || {
                 compare_online(&instance, &model, budget, policy.as_mut()).expect("runs")
             });
@@ -198,77 +208,41 @@ pub fn policies_ladder(sizes: &[usize]) -> Vec<PolicyPoint> {
     points
 }
 
-/// The acceptance ladder: n doubling from 2500 to 20000.
-pub fn policies_default() -> Vec<PolicyPoint> {
-    policies_ladder(&[2_500, 5_000, 10_000, 20_000])
+/// `BENCH_policies.json`, carrying the flat/growing classification CI
+/// asserts on. The full ladder doubles n from 2500 to 20000; the smoke
+/// ladder is seconds-scale and exercised in CI.
+pub fn policies_bench(smoke: bool) -> BenchFile {
+    policies_file(&if smoke {
+        policies_ladder(&[500, 2_000])
+    } else {
+        policies_ladder(&[2_500, 5_000, 10_000, 20_000])
+    })
 }
 
-/// The seconds-scale smoke ladder exercised in CI.
-pub fn policies_smoke() -> Vec<PolicyPoint> {
-    policies_ladder(&[500, 2_000])
-}
-
-/// Render ladder points as the `online_policy_ladder` CSV table.
-pub fn policies_table(points: &[PolicyPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
+fn policies_file(points: &[PolicyPoint]) -> BenchFile {
+    BenchFile::new(
         "online_policy_ladder",
-        &["policy", "n", "ratio", "within_budget", "seconds"],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.policy.clone(),
-            p.n.to_string(),
-            fmt(p.ratio),
-            p.within_budget.to_string(),
-            fmt(p.seconds),
-        ]);
-    }
-    table
-}
-
-/// Serialize ladder points as `BENCH_policies.json`, including the
-/// flat/growing classification CI asserts on.
-pub fn policies_bench_json(points: &[PolicyPoint]) -> String {
-    let quote_list = |names: &[String]| {
-        names
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"online_policy_ladder\",\n");
-    out.push_str(
-        "  \"setup\": \"E13 extension: Poisson stream (rate 0.8, seed 7), budget 1.5x total work, PolyPower CUBE; each policy vs the offline frontier across an n-doubling ladder\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"empirical competitive ratio (policy makespan / offline frontier makespan) per policy per n\",\n",
-    );
-    out.push_str(&format!(
-        "  \"flat_policies\": [{}],\n",
-        quote_list(&flat_policies(points))
-    ));
-    out.push_str(&format!(
-        "  \"growing_policies\": [{}],\n  \"points\": [\n",
-        quote_list(&growing_policies(points))
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"n\": {}, \"ratio\": {:.6}, \"within_budget\": {}, \"seconds\": {:.6}}}{}\n",
-            p.policy,
-            p.n,
-            p.ratio,
-            p.within_budget,
-            p.seconds,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        vec![
+            (
+                "setup",
+                "E13 extension: Poisson stream (rate 0.8, seed 7), budget 1.5x total work, PolyPower CUBE; each policy vs the offline frontier across an n-doubling ladder".to_value(),
+            ),
+            (
+                "metric",
+                "empirical competitive ratio (policy makespan / offline frontier makespan) per policy per n".to_value(),
+            ),
+            ("flat_policies", flat_policies(points).to_value()),
+            ("growing_policies", growing_policies(points).to_value()),
+        ],
+        points.iter().map(PolicyPoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::harness::get;
+    use serde::Serialize;
+
     #[test]
     fn ratios_at_least_one() {
         let tables = super::run();
@@ -308,29 +282,33 @@ mod tests {
         for name in &flat {
             assert!(!growing.contains(name), "{name} classified both ways");
         }
-        // The JSON carries the classification verbatim.
-        let json = super::policies_bench_json(&points);
-        assert!(json.contains("\"flat_policies\""));
-        assert!(json.contains("\"online_policy_ladder\""));
+        // The bench header carries the classification verbatim.
+        let file = super::policies_file(&points);
+        assert_eq!(file.bench, "online_policy_ladder");
+        assert_eq!(get(&file.header, "flat_policies"), Some(&flat.to_value()));
+        assert_eq!(
+            get(&file.header, "growing_policies"),
+            Some(&growing.to_value())
+        );
+        assert_eq!(file.rows.len(), points.len());
     }
 
     #[test]
     fn scale_sweep_stays_within_budget() {
         // Small sizes here; the n=20000 rows run in the binary.
-        let table = super::scaling_table(&[500, 2_000]);
-        assert_eq!(table.rows.len(), 8);
-        for row in &table.rows {
-            let ratio: f64 = row[3].parse().unwrap();
-            if row[1].starts_with("bkp") {
+        let points = super::scale_points(&[500, 2_000]);
+        assert_eq!(points.len(), 8);
+        for p in &points {
+            if p.policy.starts_with("bkp") {
                 // BKP is uncapped: any overspend shows as within_budget
                 // false (and possibly a sub-1 ratio), never silently.
-                assert!(ratio > 0.0, "{row:?}");
-                if ratio < 1.0 - 1e-6 {
-                    assert_eq!(row[4], "false", "{row:?}");
+                assert!(p.ratio > 0.0, "{p:?}");
+                if p.ratio < 1.0 - 1e-6 {
+                    assert!(!p.within_budget, "{p:?}");
                 }
             } else {
-                assert!(ratio >= 1.0 - 1e-6, "{row:?}");
-                assert_eq!(row[4], "true", "{row:?}");
+                assert!(p.ratio >= 1.0 - 1e-6, "{p:?}");
+                assert!(p.within_budget, "{p:?}");
             }
         }
     }

@@ -37,7 +37,7 @@
 //! tight bands: near-tie certificates, the tournament's adversarial
 //! case) — with per-point energy agreement recorded like E19/E20.
 
-use crate::harness::{fmt, time_min, CsvTable};
+use crate::harness::{fmt, time_min, BenchFile, CsvTable, Row};
 use pas_core::deadline::{oa, oa_reference, yds, yds_reference, DeadlineInstance, DeadlineJob};
 use pas_core::flow::curve::tradeoff_curve;
 use pas_core::flow::solver::{laptop_reference, solve_for_u, solve_for_u_reference};
@@ -45,7 +45,11 @@ use pas_core::makespan::{dp, incmerge, moveright, Frontier};
 use pas_power::PolyPower;
 use pas_sim::metrics;
 use pas_workload::{generators, Instance};
+use serde::Serialize;
 use std::time::Instant;
+
+/// The `metric` header shared by the naive-vs-optimized sweeps.
+const WALL_METRIC: &str = "wall_seconds_min_over_repeats";
 
 /// Sweep sizes. DP is capped (cubic); MoveRight quadratic; IncMerge and
 /// the frontier run the full range.
@@ -111,21 +115,30 @@ impl YdsScalingPoint {
     pub fn speedup(&self) -> Option<f64> {
         self.reference_s.map(|r| r / self.optimized_s)
     }
+
+    /// The point as a `BENCH_yds.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("n", self.n.to_value()),
+            ("optimized_s", self.optimized_s.to_value()),
+            ("optimized_repeats", self.optimized_repeats.to_value()),
+            ("reference_s", self.reference_s.to_value()),
+            ("reference_repeats", self.reference_repeats.to_value()),
+            ("speedup", self.speedup().to_value()),
+            ("rounds", self.rounds.to_value()),
+            ("energy_rel_gap", self.energy_rel_gap.to_value()),
+        ]
+    }
 }
 
-/// The E19 instance family, shared with the criterion bench
-/// (`benches/bench_deadline.rs`) so both curves always describe the
-/// same instances.
+/// The E19 instance family (also E22's `uniform` family, so the two
+/// deadline-stack curves describe the same instances).
 pub fn e19_instance(n: usize) -> DeadlineInstance {
     DeadlineInstance::random(n, n as f64, (0.5, 6.0), (0.2, 3.0), 42)
 }
 
 /// `e19_instance` as a string, recorded in `BENCH_yds.json`.
 pub const E19_FAMILY: &str = "DeadlineInstance::random(n, n, (0.5, 6.0), (0.2, 3.0), 42)";
-
-/// Default reference cap for routine E19 runs: past this the `O(n⁴)`
-/// seed engine takes minutes per run.
-pub const E19_REFERENCE_CAP: usize = 512;
 
 /// E19: sweep the YDS engines over uniform random instances of the given
 /// sizes, measuring the reference only up to `reference_cap` (it is
@@ -167,73 +180,26 @@ pub fn yds_scaling(sizes: &[usize], reference_cap: usize) -> Vec<YdsScalingPoint
         .collect()
 }
 
-/// The default E19 sweep (reference measured at every point, n=2000
-/// included — the acceptance configuration; expect minutes of wall
-/// clock).
-pub fn yds_scaling_default() -> Vec<YdsScalingPoint> {
-    yds_scaling(&[64, 128, 256, 512, 1024, 2000], 2000)
+/// `BENCH_yds.json`. The full tier measures the reference at every point,
+/// n=2000 included (the acceptance configuration; minutes of wall
+/// clock); the smoke tier is seconds.
+pub fn yds_bench(smoke: bool) -> BenchFile {
+    yds_file(&if smoke {
+        yds_scaling(&[64, 128], 128)
+    } else {
+        yds_scaling(&[64, 128, 256, 512, 1024, 2000], 2000)
+    })
 }
 
-/// Render E19 points as the `scaling_yds` CSV table.
-pub fn yds_table(points: &[YdsScalingPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
-        "scaling_yds",
-        &[
-            "n",
-            "optimized_s",
-            "reference_s",
-            "speedup",
-            "rounds",
-            "energy_rel_gap",
+fn yds_file(points: &[YdsScalingPoint]) -> BenchFile {
+    BenchFile::new(
+        "yds_timeline_engine",
+        vec![
+            ("instance_family", E19_FAMILY.to_value()),
+            ("metric", WALL_METRIC.to_value()),
         ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.n.to_string(),
-            fmt(p.optimized_s),
-            p.reference_s.map(fmt).unwrap_or_default(),
-            p.speedup().map(|s| format!("{s:.2}")).unwrap_or_default(),
-            p.rounds.to_string(),
-            p.energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_default(),
-        ]);
-    }
-    table
-}
-
-/// Render E19 points as the `BENCH_yds.json` document: a scaling curve
-/// plus the headline n=2000 speedup, consumed by future PRs as the perf
-/// trajectory baseline.
-pub fn yds_bench_json(points: &[YdsScalingPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"yds_timeline_engine\",\n");
-    out.push_str(&format!("  \"instance_family\": \"{E19_FAMILY}\",\n"));
-    out.push_str("  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"optimized_s\": {:.6}, \"optimized_repeats\": {}, \"reference_s\": {}, \"reference_repeats\": {}, \"speedup\": {}, \"rounds\": {}, \"energy_rel_gap\": {}}}{}\n",
-            p.n,
-            p.optimized_s,
-            p.optimized_repeats,
-            p.reference_s
-                .map(|r| format!("{r:.6}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.reference_repeats
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.rounds,
-            p.energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        points.iter().map(YdsScalingPoint::row).collect(),
+    )
 }
 
 /// One measured point of the E20 flow naive-vs-block sweep.
@@ -291,12 +257,40 @@ impl FlowScalingPoint {
             .copied()
             .fold(None, |m: Option<f64>, g| Some(m.map_or(g, |m| m.max(g))))
     }
+
+    /// The point as a `BENCH_flow.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("n", self.n.to_value()),
+            ("solve_block_s", self.solve_block_s.to_value()),
+            ("solve_reference_s", self.solve_reference_s.to_value()),
+            ("solve_speedup", self.solve_speedup().to_value()),
+            ("solve_energy_rel_gap", self.solve_energy_rel_gap.to_value()),
+            ("curve_points", self.curve_points.to_value()),
+            ("curve_block_s", self.curve_block_s.to_value()),
+            ("curve_reference_s", self.curve_reference_s.to_value()),
+            ("curve_reference_ok", self.curve_reference_ok.to_value()),
+            (
+                "curve_reference_failed",
+                self.curve_reference_failed.to_value(),
+            ),
+            ("curve_speedup", self.curve_speedup().to_value()),
+            (
+                "curve_max_energy_rel_gap",
+                self.curve_max_energy_rel_gap().to_value(),
+            ),
+            (
+                "curve_energy_rel_gaps",
+                self.curve_energy_rel_gaps.to_value(),
+            ),
+        ]
+    }
 }
 
 /// The E20 instance family: the E7/E8 tradeoff-curve workload (equal-work
 /// jobs, Poisson releases at rate 1.5 — contact-heavy, so segment
 /// resolution is exercised) generalized from the 3-job hardness witness
-/// to `n` jobs. Shared with `benches/bench_flow.rs`.
+/// to `n` jobs.
 pub fn e20_instance(n: usize) -> Instance {
     generators::equal_work_poisson(n, 1.5, 1.0, 42)
 }
@@ -411,123 +405,28 @@ pub fn flow_scaling(
         .collect()
 }
 
-/// The full E20 acceptance sweep: n through 10⁴, 120-point curves, the
-/// reference measured through n = 1000 (expect ~20 minutes — the
-/// reference curve alone is ~120 cold bisection solves of an
-/// `O(iters·n)` engine; that cost is the point).
-pub fn flow_scaling_default() -> Vec<FlowScalingPoint> {
-    flow_scaling(&[100, 300, 1_000, 3_000, 10_000], 120, E20_REFERENCE_CAP)
+/// `BENCH_flow.json`. The full tier runs n through 10⁴ with 120-point
+/// curves and the reference measured through n = 1000 (expect ~20
+/// minutes — the reference curve alone is ~120 cold bisection solves
+/// of an `O(iters·n)` engine; that cost is the point); the smoke tier
+/// is seconds.
+pub fn flow_bench(smoke: bool) -> BenchFile {
+    flow_file(&if smoke {
+        flow_scaling(&[64, 256], 24, 256)
+    } else {
+        flow_scaling(&[100, 300, 1_000, 3_000, 10_000], 120, E20_REFERENCE_CAP)
+    })
 }
 
-/// The smoke-tier E20 sweep: seconds, not minutes; exercised in CI.
-pub fn flow_scaling_smoke() -> Vec<FlowScalingPoint> {
-    flow_scaling(&[64, 256], 24, 256)
-}
-
-/// Render E20 points as the `scaling_flow` CSV table.
-pub fn flow_table(points: &[FlowScalingPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
-        "scaling_flow",
-        &[
-            "n",
-            "solve_block_s",
-            "solve_reference_s",
-            "solve_speedup",
-            "curve_points",
-            "curve_block_s",
-            "curve_reference_s",
-            "curve_reference_ok",
-            "curve_reference_failed",
-            "curve_speedup",
-            "curve_max_energy_rel_gap",
+fn flow_file(points: &[FlowScalingPoint]) -> BenchFile {
+    BenchFile::new(
+        "flow_block_decomposition",
+        vec![
+            ("instance_family", E20_FAMILY.to_value()),
+            ("metric", WALL_METRIC.to_value()),
         ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.n.to_string(),
-            fmt(p.solve_block_s),
-            p.solve_reference_s.map(fmt).unwrap_or_default(),
-            p.solve_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_default(),
-            p.curve_points.to_string(),
-            fmt(p.curve_block_s),
-            p.curve_reference_s.map(fmt).unwrap_or_default(),
-            p.curve_reference_ok
-                .map(|k| k.to_string())
-                .unwrap_or_default(),
-            p.curve_reference_failed
-                .map(|k| k.to_string())
-                .unwrap_or_default(),
-            p.curve_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_default(),
-            p.curve_max_energy_rel_gap()
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_default(),
-        ]);
-    }
-    table
-}
-
-/// Render E20 points as the `BENCH_flow.json` document — the flow path's
-/// perf-trajectory record, sibling to `BENCH_yds.json`.
-pub fn flow_bench_json(points: &[FlowScalingPoint]) -> String {
-    let opt = |v: Option<f64>| {
-        v.map(|x| format!("{x:.6}"))
-            .unwrap_or_else(|| "null".to_string())
-    };
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"flow_block_decomposition\",\n");
-    out.push_str(&format!("  \"instance_family\": \"{E20_FAMILY}\",\n"));
-    out.push_str("  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let gaps = p
-            .curve_energy_rel_gaps
-            .as_ref()
-            .map(|g| {
-                let inner: Vec<String> = g
-                    .iter()
-                    .map(|x| {
-                        x.map(|x| format!("{x:.3e}"))
-                            .unwrap_or_else(|| "null".to_string())
-                    })
-                    .collect();
-                format!("[{}]", inner.join(", "))
-            })
-            .unwrap_or_else(|| "null".to_string());
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"solve_block_s\": {:.6}, \"solve_reference_s\": {}, \"solve_speedup\": {}, \"solve_energy_rel_gap\": {}, \"curve_points\": {}, \"curve_block_s\": {:.6}, \"curve_reference_s\": {}, \"curve_reference_ok\": {}, \"curve_reference_failed\": {}, \"curve_speedup\": {}, \"curve_max_energy_rel_gap\": {}, \"curve_energy_rel_gaps\": {}}}{}\n",
-            p.n,
-            p.solve_block_s,
-            opt(p.solve_reference_s),
-            p.solve_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.solve_energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_points,
-            p.curve_block_s,
-            opt(p.curve_reference_s),
-            p.curve_reference_ok
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_reference_failed
-                .map(|k| k.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.curve_max_energy_rel_gap()
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            gaps,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        points.iter().map(FlowScalingPoint::row).collect(),
+    )
 }
 
 /// One configured instance of the E21 multiprocessor-partition sweep:
@@ -590,6 +489,24 @@ impl MultiScalingPoint {
     pub fn speedup(&self) -> Option<f64> {
         self.reference_s.map(|r| r / self.incremental_s)
     }
+
+    /// The point as a `BENCH_multi.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("n", self.spec.n.to_value()),
+            ("m", self.spec.m.to_value()),
+            ("levels", self.spec.levels.to_value()),
+            ("seed", self.spec.seed.to_value()),
+            ("incremental_s", self.incremental_s.to_value()),
+            ("incremental_repeats", self.incremental_repeats.to_value()),
+            ("parallel_s", self.parallel_s.to_value()),
+            ("reference_s", self.reference_s.to_value()),
+            ("reference_censored", self.reference_censored.to_value()),
+            ("speedup", self.speedup().to_value()),
+            ("norm_rel_gap", self.norm_rel_gap.to_value()),
+            ("parallel_rel_gap", self.parallel_rel_gap.to_value()),
+        ]
+    }
 }
 
 /// The E21 instance family: works quantized to a `levels`-step grid
@@ -621,8 +538,8 @@ pub const E21_FAMILY: &str =
 /// A censored run's thread cannot be killed (std has no thread
 /// cancellation) and keeps burning CPU until the process exits, so
 /// sweeps must order censored-budget points **after** every
-/// completion-expected reference — `exp-scaling` writes its JSON and
-/// exits immediately, which reaps the leak.
+/// completion-expected reference — `exp-scaling` runs this sweep last
+/// and exits right after writing it, which reaps the leak.
 fn run_reference_budgeted(
     works: &[f64],
     m: usize,
@@ -703,179 +620,111 @@ pub fn multi_scaling(specs: &[MultiPointSpec]) -> Vec<MultiScalingPoint> {
     points
 }
 
-/// The default E21 acceptance sweep: the m = 4 points complete on both
-/// engines (probed: milliseconds-to-seconds for the reference); the
-/// m = 8 points at n = 24/30 carry 10–15-minute censor budgets the
-/// seed engine was probed to exceed — the incremental engine solves
-/// those witnesses in well under a second, so even the censored floors
-/// record 3–4 orders of magnitude of speedup; the n = 34/40 reach
-/// points do not attempt the reference at all.
-pub fn multi_scaling_default() -> Vec<MultiScalingPoint> {
-    multi_scaling(&[
-        MultiPointSpec {
-            n: 16,
-            m: 4,
-            levels: 12,
-            seed: 1,
-            reference_budget_s: 600.0,
-        },
-        MultiPointSpec {
-            n: 20,
-            m: 4,
-            levels: 12,
-            seed: 1,
-            reference_budget_s: 900.0,
-        },
-        MultiPointSpec {
-            n: 24,
-            m: 8,
-            levels: 12,
-            seed: 4,
-            reference_budget_s: 900.0,
-        },
-        MultiPointSpec {
-            n: 30,
-            m: 8,
-            levels: 4,
-            seed: 10,
-            reference_budget_s: 600.0,
-        },
-        MultiPointSpec {
-            n: 30,
-            m: 8,
-            levels: 4,
-            seed: 12,
-            reference_budget_s: 600.0,
-        },
-        MultiPointSpec {
-            n: 34,
-            m: 8,
-            levels: 12,
-            seed: 5,
-            reference_budget_s: 0.0,
-        },
-        MultiPointSpec {
-            n: 40,
-            m: 8,
-            levels: 12,
-            seed: 2,
-            reference_budget_s: 0.0,
-        },
-    ])
-}
-
-/// The smoke-tier E21 sweep: seconds, not minutes; exercised in CI.
-/// The reference budgets are generous relative to the expected
-/// completion times, so censoring only triggers on pathological
-/// machines (and is recorded as such rather than failing).
-pub fn multi_scaling_smoke() -> Vec<MultiScalingPoint> {
-    multi_scaling(&[
-        MultiPointSpec {
-            n: 12,
-            m: 4,
-            levels: 8,
-            seed: 1,
-            reference_budget_s: 60.0,
-        },
-        MultiPointSpec {
-            n: 16,
-            m: 4,
-            levels: 12,
-            seed: 1,
-            reference_budget_s: 60.0,
-        },
-        MultiPointSpec {
-            n: 20,
-            m: 8,
-            levels: 4,
-            seed: 8,
-            reference_budget_s: 0.0,
-        },
-    ])
-}
-
-/// Render E21 points as the `scaling_multi` CSV table.
-pub fn multi_table(points: &[MultiScalingPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
-        "scaling_multi",
+/// `BENCH_multi.json`.
+///
+/// Full tier: the m = 4 points complete on both engines (probed:
+/// milliseconds-to-seconds for the reference); the m = 8 points at
+/// n = 24/30 carry 10–15-minute censor budgets the seed engine was
+/// probed to exceed — the incremental engine solves those witnesses in
+/// well under a second, so even the censored floors record 3–4 orders
+/// of magnitude of speedup; the n = 34/40 reach points do not attempt
+/// the reference at all.
+///
+/// Smoke tier: seconds, not minutes; exercised in CI. The reference
+/// budgets are generous relative to the expected completion times, so
+/// censoring only triggers on pathological machines (and is recorded as
+/// such rather than failing).
+pub fn multi_bench(smoke: bool) -> BenchFile {
+    let specs: &[MultiPointSpec] = if smoke {
         &[
-            "n",
-            "m",
-            "levels",
-            "seed",
-            "incremental_s",
-            "parallel_s",
-            "reference_s",
-            "reference_censored",
-            "speedup",
-            "norm_rel_gap",
-            "parallel_rel_gap",
-        ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.spec.n.to_string(),
-            p.spec.m.to_string(),
-            p.spec.levels.to_string(),
-            p.spec.seed.to_string(),
-            fmt(p.incremental_s),
-            fmt(p.parallel_s),
-            p.reference_s.map(fmt).unwrap_or_default(),
-            p.reference_censored.to_string(),
-            p.speedup()
-                .map(|s| {
-                    if p.reference_censored {
-                        format!(">={s:.2}")
-                    } else {
-                        format!("{s:.2}")
-                    }
-                })
-                .unwrap_or_default(),
-            p.norm_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_default(),
-            format!("{:.3e}", p.parallel_rel_gap),
-        ]);
-    }
-    table
+            MultiPointSpec {
+                n: 12,
+                m: 4,
+                levels: 8,
+                seed: 1,
+                reference_budget_s: 60.0,
+            },
+            MultiPointSpec {
+                n: 16,
+                m: 4,
+                levels: 12,
+                seed: 1,
+                reference_budget_s: 60.0,
+            },
+            MultiPointSpec {
+                n: 20,
+                m: 8,
+                levels: 4,
+                seed: 8,
+                reference_budget_s: 0.0,
+            },
+        ]
+    } else {
+        &[
+            MultiPointSpec {
+                n: 16,
+                m: 4,
+                levels: 12,
+                seed: 1,
+                reference_budget_s: 600.0,
+            },
+            MultiPointSpec {
+                n: 20,
+                m: 4,
+                levels: 12,
+                seed: 1,
+                reference_budget_s: 900.0,
+            },
+            MultiPointSpec {
+                n: 24,
+                m: 8,
+                levels: 12,
+                seed: 4,
+                reference_budget_s: 900.0,
+            },
+            MultiPointSpec {
+                n: 30,
+                m: 8,
+                levels: 4,
+                seed: 10,
+                reference_budget_s: 600.0,
+            },
+            MultiPointSpec {
+                n: 30,
+                m: 8,
+                levels: 4,
+                seed: 12,
+                reference_budget_s: 600.0,
+            },
+            MultiPointSpec {
+                n: 34,
+                m: 8,
+                levels: 12,
+                seed: 5,
+                reference_budget_s: 0.0,
+            },
+            MultiPointSpec {
+                n: 40,
+                m: 8,
+                levels: 12,
+                seed: 2,
+                reference_budget_s: 0.0,
+            },
+        ]
+    };
+    multi_file(&multi_scaling(specs))
 }
 
-/// Render E21 points as the `BENCH_multi.json` document — the
-/// multiprocessor path's perf-trajectory record, sibling to
-/// `BENCH_yds.json` and `BENCH_flow.json`.
-pub fn multi_bench_json(points: &[MultiScalingPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"multi_incremental_bb\",\n");
-    out.push_str(&format!("  \"instance_family\": \"{E21_FAMILY}\",\n"));
-    out.push_str(
-        "  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"censoring\": \"reference_censored=true means the seed engine was abandoned at its wall-clock budget; reference_s is then a floor and speedup a lower bound\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"m\": {}, \"levels\": {}, \"seed\": {}, \"incremental_s\": {:.6}, \"incremental_repeats\": {}, \"parallel_s\": {:.6}, \"reference_s\": {}, \"reference_censored\": {}, \"speedup\": {}, \"norm_rel_gap\": {}, \"parallel_rel_gap\": {:.3e}}}{}\n",
-            p.spec.n,
-            p.spec.m,
-            p.spec.levels,
-            p.spec.seed,
-            p.incremental_s,
-            p.incremental_repeats,
-            p.parallel_s,
-            p.reference_s
-                .map(|r| format!("{r:.6}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.reference_censored,
-            p.speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.norm_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.parallel_rel_gap,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+fn multi_file(points: &[MultiScalingPoint]) -> BenchFile {
+    BenchFile::new(
+        "multi_incremental_bb",
+        vec![
+            ("instance_family", E21_FAMILY.to_value()),
+            ("metric", WALL_METRIC.to_value()),
+            ("censoring", "reference_censored=true means the seed engine was abandoned at its wall-clock budget; reference_s is then a floor and speedup a lower bound".to_value()),
+        ],
+        points.iter().map(MultiScalingPoint::row).collect(),
+    )
 }
 
 /// One measured point of the E22 OA kinetic-vs-sweep sweep.
@@ -903,13 +752,20 @@ impl OaScalingPoint {
     pub fn speedup(&self) -> Option<f64> {
         self.reference_s.map(|r| r / self.kinetic_s)
     }
-}
 
-/// The E22 `uniform` family: same generator shape as E19, so the two
-/// deadline-stack curves describe comparable instances. Shared with the
-/// criterion bench (`benches/bench_deadline.rs`).
-pub fn e22_uniform(n: usize) -> DeadlineInstance {
-    DeadlineInstance::random(n, n as f64, (0.5, 6.0), (0.2, 3.0), 42)
+    /// The point as a `BENCH_oa.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("n", self.n.to_value()),
+            ("family", self.family.to_value()),
+            ("kinetic_s", self.kinetic_s.to_value()),
+            ("kinetic_repeats", self.kinetic_repeats.to_value()),
+            ("reference_s", self.reference_s.to_value()),
+            ("reference_repeats", self.reference_repeats.to_value()),
+            ("speedup", self.speedup().to_value()),
+            ("energy_rel_gap", self.energy_rel_gap.to_value()),
+        ]
+    }
 }
 
 /// The E22 `clustered` family: deadlines packed into `n/100 + 4` tight
@@ -955,7 +811,10 @@ pub fn oa_scaling(sizes: &[usize], reference_cap: usize) -> Vec<OaScalingPoint> 
     let model = PolyPower::CUBE;
     let mut points = Vec::new();
     for &n in sizes {
-        for (family, inst) in [("uniform", e22_uniform(n)), ("clustered", e22_clustered(n))] {
+        for (family, inst) in [
+            ("uniform", e19_instance(n)),
+            ("clustered", e22_clustered(n)),
+        ] {
             let kinetic_repeats = if n <= 5_000 { 5 } else { 3 };
             let (fast, kinetic_s) = time_min(kinetic_repeats, || oa(&inst).expect("feasible"));
             let (reference_s, reference_repeats, energy_rel_gap) = if n <= reference_cap {
@@ -985,83 +844,33 @@ pub fn oa_scaling(sizes: &[usize], reference_cap: usize) -> Vec<OaScalingPoint> 
     points
 }
 
-/// The default E22 sweep (reference measured at every point including
-/// the n = 20000 acceptance configuration).
-pub fn oa_scaling_default() -> Vec<OaScalingPoint> {
-    oa_scaling(&[1_000, 5_000, 20_000], 20_000)
+/// `BENCH_oa.json`. The full tier measures the reference at every point
+/// including the n = 20000 acceptance configuration; the smoke tier is
+/// seconds.
+pub fn oa_bench(smoke: bool) -> BenchFile {
+    oa_file(&if smoke {
+        oa_scaling(&[256, 1_024], 1_024)
+    } else {
+        oa_scaling(&[1_000, 5_000, 20_000], 20_000)
+    })
 }
 
-/// The smoke-tier E22 sweep: seconds-scale, exercised in CI.
-pub fn oa_scaling_smoke() -> Vec<OaScalingPoint> {
-    oa_scaling(&[256, 1_024], 1_024)
-}
-
-/// Render E22 points as the `scaling_oa` CSV table.
-pub fn oa_table(points: &[OaScalingPoint]) -> CsvTable {
-    let mut table = CsvTable::new(
-        "scaling_oa",
-        &[
-            "n",
-            "family",
-            "kinetic_s",
-            "reference_s",
-            "speedup",
-            "energy_rel_gap",
+fn oa_file(points: &[OaScalingPoint]) -> BenchFile {
+    BenchFile::new(
+        "oa_kinetic_tournament",
+        vec![
+            ("instance_families", E22_FAMILIES.to_vec().to_value()),
+            ("metric", WALL_METRIC.to_value()),
         ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.n.to_string(),
-            p.family.to_string(),
-            fmt(p.kinetic_s),
-            p.reference_s.map(fmt).unwrap_or_default(),
-            p.speedup().map(|s| format!("{s:.2}")).unwrap_or_default(),
-            p.energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_default(),
-        ]);
-    }
-    table
-}
-
-/// Render E22 points as the `BENCH_oa.json` document — the OA path's
-/// perf-trajectory record, sibling to the other `BENCH_*` files.
-pub fn oa_bench_json(points: &[OaScalingPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"oa_kinetic_tournament\",\n");
-    out.push_str(&format!(
-        "  \"instance_families\": [\"{}\", \"{}\"],\n",
-        E22_FAMILIES[0], E22_FAMILIES[1]
-    ));
-    out.push_str("  \"metric\": \"wall_seconds_min_over_repeats\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"family\": \"{}\", \"kinetic_s\": {:.6}, \"kinetic_repeats\": {}, \"reference_s\": {}, \"reference_repeats\": {}, \"speedup\": {}, \"energy_rel_gap\": {}}}{}\n",
-            p.n,
-            p.family,
-            p.kinetic_s,
-            p.kinetic_repeats,
-            p.reference_s
-                .map(|r| format!("{r:.6}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.reference_repeats
-                .map(|r| r.to_string())
-                .unwrap_or_else(|| "null".to_string()),
-            p.speedup()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "null".to_string()),
-            p.energy_rel_gap
-                .map(|g| format!("{g:.3e}"))
-                .unwrap_or_else(|| "null".to_string()),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        points.iter().map(OaScalingPoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::harness::get;
+    use serde::Value;
+
     #[test]
     fn oa_scaling_point_speedup_and_agreement() {
         let points = super::oa_scaling(&[96, 192], 96);
@@ -1079,12 +888,21 @@ mod tests {
         // Past the cap the reference columns go null.
         assert!(points[2].reference_s.is_none());
         assert!(points[3].energy_rel_gap.is_none());
-        let table = super::oa_table(&points);
-        assert_eq!(table.rows.len(), 4);
-        let json = super::oa_bench_json(&points);
-        assert!(json.contains("\"bench\": \"oa_kinetic_tournament\""));
-        assert!(json.contains("\"family\": \"clustered\""));
-        assert!(json.contains("\"reference_s\": null"));
+        let file = super::oa_file(&points);
+        assert_eq!(file.bench, "oa_kinetic_tournament");
+        assert_eq!(file.rows.len(), 4);
+        assert_eq!(
+            get(&file.header, "instance_families")
+                .and_then(Value::as_arr)
+                .map(<[_]>::len),
+            Some(2)
+        );
+        assert_eq!(
+            get(&file.rows[1], "family"),
+            Some(&Value::Str("clustered".into()))
+        );
+        assert_eq!(get(&file.rows[2], "reference_s"), Some(&Value::Null));
+        assert_eq!(get(&file.rows[3], "speedup"), Some(&Value::Null));
     }
 
     #[test]
@@ -1103,11 +921,16 @@ mod tests {
         // Past the cap the reference columns go null.
         assert!(points[1].solve_reference_s.is_none());
         assert!(points[1].curve_reference_s.is_none());
-        let table = super::flow_table(&points);
-        assert_eq!(table.rows.len(), 2);
-        let json = super::flow_bench_json(&points);
-        assert!(json.contains("\"bench\": \"flow_block_decomposition\""));
-        assert!(json.contains("\"curve_reference_s\": null"));
+        let file = super::flow_file(&points);
+        assert_eq!(file.bench, "flow_block_decomposition");
+        assert_eq!(file.rows.len(), 2);
+        let gaps = get(&file.rows[0], "curve_energy_rel_gaps").and_then(Value::as_arr);
+        assert_eq!(gaps.map(<[_]>::len), Some(8));
+        assert_eq!(get(&file.rows[1], "curve_reference_s"), Some(&Value::Null));
+        assert_eq!(
+            get(&file.rows[1], "curve_energy_rel_gaps"),
+            Some(&Value::Null)
+        );
     }
 
     #[test]
@@ -1123,15 +946,20 @@ mod tests {
                 p.energy_rel_gap
             );
         }
-        let table = super::yds_table(&points);
-        assert_eq!(table.rows.len(), 2);
-        let json = super::yds_bench_json(&points);
-        assert!(json.contains("\"bench\": \"yds_timeline_engine\""));
-        assert!(json.contains("\"n\": 48"));
+        let file = super::yds_file(&points);
+        assert_eq!(file.bench, "yds_timeline_engine");
+        assert_eq!(file.rows.len(), 2);
+        assert_eq!(
+            get(&file.header, "instance_family"),
+            Some(&Value::Str(super::E19_FAMILY.into()))
+        );
+        assert_eq!(get(&file.rows[0], "n"), Some(&Value::Num(48.0)));
         // The reference cap turns missing measurements into nulls.
         let capped = super::yds_scaling(&[48, 96], 48);
         assert!(capped[1].reference_s.is_none());
-        assert!(super::yds_bench_json(&capped).contains("\"reference_s\": null"));
+        let row = &super::yds_file(&capped).rows[1];
+        assert_eq!(get(row, "reference_s"), Some(&Value::Null));
+        assert_eq!(get(row, "speedup"), Some(&Value::Null));
     }
 
     #[test]
@@ -1174,12 +1002,15 @@ mod tests {
         assert!(points[1].reference_s.is_none());
         assert!(points[1].norm_rel_gap.is_none());
         assert!(!points[1].reference_censored);
-        let table = super::multi_table(&points);
-        assert_eq!(table.rows.len(), 2);
-        let json = super::multi_bench_json(&points);
-        assert!(json.contains("\"bench\": \"multi_incremental_bb\""));
-        assert!(json.contains("\"reference_s\": null"));
-        assert!(json.contains("\"reference_censored\": false"));
+        let file = super::multi_file(&points);
+        assert_eq!(file.bench, "multi_incremental_bb");
+        assert_eq!(file.rows.len(), 2);
+        assert!(get(&file.header, "censoring").is_some());
+        assert_eq!(get(&file.rows[1], "reference_s"), Some(&Value::Null));
+        assert_eq!(
+            get(&file.rows[1], "reference_censored"),
+            Some(&Value::Bool(false))
+        );
     }
 
     #[test]
@@ -1201,8 +1032,10 @@ mod tests {
         assert!(p.reference_censored, "expected censoring, got {p:?}");
         assert!((p.reference_s.unwrap() - 0.05).abs() < 1e-9);
         assert!(p.norm_rel_gap.is_none());
-        assert!(super::multi_bench_json(&points).contains("\"reference_censored\": true"));
-        assert!(super::multi_table(&points).rows[0][8].starts_with(">="));
+        let row = &super::multi_file(&points).rows[0];
+        assert_eq!(get(row, "reference_censored"), Some(&Value::Bool(true)));
+        assert_eq!(get(row, "reference_s"), Some(&Value::Num(0.05)));
+        assert_eq!(get(row, "norm_rel_gap"), Some(&Value::Null));
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //! while keeping p99 in the same band — overload degrades *capacity*,
 //! not per-decision latency.
 
-use crate::harness::{fmt, CsvTable};
+use crate::harness::{BenchFile, Row};
 use pas_core::online::SpendAll;
 use pas_power::PolyPower;
 use pas_sim::online::{AdmissionConfig, ShedPolicy};
 use pas_sim::{FaultModel, FaultPlan, Journal, ServeConfig, Server, WatchdogConfig};
 use pas_workload::{generators, Instance};
+use serde::Serialize;
 use std::time::Instant;
 
 /// One timed serving run.
@@ -66,6 +67,26 @@ impl ServePoint {
         } else {
             0.0
         }
+    }
+
+    /// The point as a `BENCH_serve.json` row.
+    pub fn row(&self) -> Row {
+        vec![
+            ("arrivals", self.arrivals.to_value()),
+            ("n", self.n.to_value()),
+            ("fault_events", self.fault_events.to_value()),
+            ("seed", self.seed.to_value()),
+            ("delivered", self.delivered.to_value()),
+            ("shed_jobs", self.shed_jobs.to_value()),
+            ("elapsed_secs", self.elapsed_secs.to_value()),
+            ("jobs_per_sec", self.jobs_per_sec().to_value()),
+            ("decisions", self.decisions.to_value()),
+            ("p50_decide_nanos", self.p50_decide_nanos.to_value()),
+            ("p99_decide_nanos", self.p99_decide_nanos.to_value()),
+            ("max_decide_nanos", self.max_decide_nanos.to_value()),
+            ("watchdog_trips", self.watchdog_trips.to_value()),
+            ("energy", self.energy.to_value()),
+        ]
     }
 }
 
@@ -166,101 +187,38 @@ pub fn serve_sweep(n: usize, fault_events: usize, seed: u64) -> Vec<ServePoint> 
     points
 }
 
-/// The acceptance-tier sweep: a million jobs per pattern.
-pub fn serve_default() -> Vec<ServePoint> {
-    serve_sweep(1_000_000, 64, 1)
+/// `BENCH_serve.json`: a million jobs per pattern at the full tier, a
+/// seconds-scale sweep at the smoke tier exercised in CI.
+pub fn bench(smoke: bool) -> BenchFile {
+    file(&if smoke {
+        serve_sweep(4_000, 16, 1)
+    } else {
+        serve_sweep(1_000_000, 64, 1)
+    })
 }
 
-/// The smoke-tier sweep: seconds-scale, exercised in CI.
-pub fn serve_smoke() -> Vec<ServePoint> {
-    serve_sweep(4_000, 16, 1)
-}
-
-/// Render points as the `serve_throughput` CSV table.
-pub fn serve_table(points: &[ServePoint]) -> CsvTable {
-    let mut table = CsvTable::new(
+fn file(points: &[ServePoint]) -> BenchFile {
+    BenchFile::new(
         "serve_throughput",
-        &[
-            "arrivals",
-            "n",
-            "fault_events",
-            "seed",
-            "delivered",
-            "shed_jobs",
-            "elapsed_secs",
-            "jobs_per_sec",
-            "decisions",
-            "p50_decide_nanos",
-            "p99_decide_nanos",
-            "max_decide_nanos",
-            "watchdog_trips",
-            "energy",
+        vec![
+            (
+                "setup",
+                "full Server loop (memory journal, watchdog, latency capture; flood rows behind deadline-aware admission), SpendAll policy, fault-free and seeded-FaultPlan runs".to_value(),
+            ),
+            (
+                "metric",
+                "sustained jobs/sec (delivered over wall-clock) and p50/p99/max decision latency in nanoseconds".to_value(),
+            ),
         ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.arrivals.to_string(),
-            p.n.to_string(),
-            p.fault_events.to_string(),
-            p.seed.to_string(),
-            p.delivered.to_string(),
-            p.shed_jobs.to_string(),
-            fmt(p.elapsed_secs),
-            fmt(p.jobs_per_sec()),
-            p.decisions.to_string(),
-            p.p50_decide_nanos.to_string(),
-            p.p99_decide_nanos.to_string(),
-            p.max_decide_nanos.to_string(),
-            p.watchdog_trips.to_string(),
-            fmt(p.energy),
-        ]);
-    }
-    table
-}
-
-/// Render points as the `BENCH_serve.json` document — the serving
-/// layer's trajectory record, sibling to the other `BENCH_*` files.
-pub fn serve_bench_json(points: &[ServePoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"serve_throughput\",\n");
-    out.push_str(
-        "  \"setup\": \"full Server loop (memory journal, watchdog, latency capture; flood rows behind deadline-aware admission), SpendAll policy, fault-free and seeded-FaultPlan runs\",\n",
-    );
-    out.push_str(
-        "  \"metric\": \"sustained jobs/sec (delivered over wall-clock) and p50/p99/max decision latency in nanoseconds\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"arrivals\": \"{}\", \"n\": {}, \"fault_events\": {}, \"seed\": {}, \"delivered\": {}, \"shed_jobs\": {}, \"elapsed_secs\": {:.6}, \"jobs_per_sec\": {:.1}, \"decisions\": {}, \"p50_decide_nanos\": {}, \"p99_decide_nanos\": {}, \"max_decide_nanos\": {}, \"watchdog_trips\": {}, \"energy\": {:.6}}}{}\n",
-            p.arrivals,
-            p.n,
-            p.fault_events,
-            p.seed,
-            p.delivered,
-            p.shed_jobs,
-            p.elapsed_secs,
-            p.jobs_per_sec(),
-            p.decisions,
-            p.p50_decide_nanos,
-            p.p99_decide_nanos,
-            p.max_decide_nanos,
-            p.watchdog_trips,
-            p.energy,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Produce the smoke-tier table (used by `exp-all`).
-pub fn run() -> Vec<CsvTable> {
-    vec![serve_table(&serve_smoke())]
+        points.iter().map(ServePoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::get;
+    use serde::Value;
 
     #[test]
     fn sweep_covers_patterns_and_delivers_work() {
@@ -287,13 +245,16 @@ mod tests {
     }
 
     #[test]
-    fn json_and_table_agree_on_row_count() {
+    fn bench_file_has_one_row_per_point() {
         let points = serve_sweep(32, 4, 1);
-        let table = serve_table(&points);
-        assert_eq!(table.rows.len(), points.len());
-        let json = serve_bench_json(&points);
-        assert_eq!(json.matches("\"arrivals\"").count(), points.len());
-        assert!(json.ends_with("  ]\n}\n"));
+        let file = file(&points);
+        assert_eq!(file.bench, "serve_throughput");
+        assert!(get(&file.header, "setup").is_some());
+        assert_eq!(file.rows.len(), points.len());
+        for (row, p) in file.rows.iter().zip(&points) {
+            assert_eq!(get(row, "arrivals"), Some(&Value::Str(p.arrivals.into())));
+            assert_eq!(get(row, "shed_jobs"), Some(&Value::Num(p.shed_jobs as f64)));
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Shared experiment utilities: CSV tables, timing, parallel sweeps.
+//! Shared experiment utilities: CSV tables, bench documents, timing,
+//! parallel sweeps.
 
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -55,6 +58,109 @@ impl CsvTable {
     pub fn print(&self) {
         println!("# {}", self.name);
         print!("{}", self.to_csv());
+    }
+}
+
+/// One measured point of a bench sweep: `(field, value)` pairs in
+/// column order. The same row is both a CSV line and a JSON object.
+pub type Row = Vec<(&'static str, Value)>;
+
+/// The value under `key` in a header or a row, if present.
+#[cfg(test)]
+pub(crate) fn get<'a>(fields: &'a [(&'static str, Value)], key: &str) -> Option<&'a Value> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+/// One `BENCH_<name>.json` document: sweep-level header fields (setup
+/// strings, gates) plus one [`Row`] per point. Both the JSON file and
+/// the CSV table render from this one description.
+#[derive(Debug, Clone)]
+pub struct BenchFile {
+    /// The document's `"bench"` id, also the CSV table name.
+    pub bench: &'static str,
+    /// Header fields, written in order before `"points"`.
+    pub header: Row,
+    /// One row per measured point.
+    pub rows: Vec<Row>,
+}
+
+impl BenchFile {
+    /// Assemble a document. The header starts with `parallelism`, the
+    /// core count the timings were taken on.
+    pub fn new(bench: &'static str, header: Row, rows: Vec<Row>) -> Self {
+        let parallelism = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut full = vec![("parallelism", parallelism.to_value())];
+        full.extend(header);
+        BenchFile {
+            bench,
+            header: full,
+            rows,
+        }
+    }
+
+    /// Render the JSON document: `bench`, the header fields, then
+    /// `points` with one compact row object per line.
+    ///
+    /// # Errors
+    /// A non-finite number anywhere (JSON cannot represent it).
+    pub fn to_json(&self) -> Result<String, serde_json::Error> {
+        let mut out = format!(
+            "{{\n  \"bench\": {},\n",
+            serde_json::to_string(&self.bench)?
+        );
+        for (key, value) in &self.header {
+            let _ = writeln!(
+                out,
+                "  {}: {},",
+                serde_json::to_string(key)?,
+                serde_json::to_string(value)?
+            );
+        }
+        out.push_str("  \"points\": [");
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+            out.push_str(&serde_json::to_string(&object(row))?);
+        }
+        out.push_str("\n  ]\n}\n");
+        Ok(out)
+    }
+
+    /// The rows as a CSV table named after `bench`, its header taken
+    /// from the row keys. `null` is an empty cell and strings are
+    /// unquoted unless they hold a comma or a quote.
+    pub fn table(&self) -> CsvTable {
+        let keys: Vec<&str> = self
+            .rows
+            .first()
+            .map(|row| row.iter().map(|(k, _)| *k).collect())
+            .unwrap_or_default();
+        let mut table = CsvTable::new(self.bench, &keys);
+        for row in &self.rows {
+            table.push_row(row.iter().map(|(_, v)| csv_cell(v)).collect());
+        }
+        table
+    }
+}
+
+fn object(fields: &[(&'static str, Value)]) -> Value {
+    Value::Obj(
+        fields
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect(),
+    )
+}
+
+fn csv_cell(value: &Value) -> String {
+    let text = match value {
+        Value::Null => String::new(),
+        Value::Str(s) => s.clone(),
+        other => serde_json::to_string(other).unwrap_or_else(|_| format!("{other:?}")),
+    };
+    if text.contains([',', '"', '\n']) {
+        format!("\"{}\"", text.replace('"', "\"\""))
+    } else {
+        text
     }
 }
 
@@ -113,6 +219,68 @@ mod tests {
         let mut t = CsvTable::new("demo", &["a", "b"]);
         t.push_row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
+    }
+
+    fn demo_file() -> BenchFile {
+        let row = |n: usize, gap: Option<f64>, family: &str| -> Row {
+            vec![
+                ("n", n.to_value()),
+                ("speedup", (n as f64 / 3.0).to_value()),
+                ("censored", (n > 10).to_value()),
+                ("reference_s", gap.map(|g| g * 2.0).to_value()),
+                ("family", family.to_value()),
+                ("gaps", Some(vec![gap, None, Some(0.125)]).to_value()),
+            ]
+        };
+        BenchFile::new(
+            "demo_bench",
+            vec![
+                ("instance_family", "say \"hi\", then\n\\tab\t".to_value()),
+                ("gate", true.to_value()),
+            ],
+            vec![
+                row(8, Some(1.5e-13), "uniform"),
+                row(64, None, "a,b \"quoted\""),
+            ],
+        )
+    }
+
+    #[test]
+    fn bench_file_json_parses_back_to_the_same_values() {
+        let file = demo_file();
+        let json = file.to_json().unwrap();
+        let mut want = vec![("bench", file.bench.to_value())];
+        want.extend(file.header.iter().cloned());
+        want.push((
+            "points",
+            Value::Arr(file.rows.iter().map(|r| object(r)).collect()),
+        ));
+        assert_eq!(serde_json::from_str::<Value>(&json).unwrap(), object(&want));
+        assert!(get(&file.header, "parallelism").is_some());
+        // One point per line, numbers in their shortest round-trip form.
+        assert_eq!(json.lines().filter(|l| l.starts_with("    {")).count(), 2);
+        assert!(
+            json.contains("\"gaps\":[0.00000000000015,null,0.125]"),
+            "{json}"
+        );
+        let nan = BenchFile::new("nan", vec![], vec![vec![("x", f64::NAN.to_value())]]);
+        assert!(nan.to_json().is_err());
+    }
+
+    #[test]
+    fn bench_file_table_shares_the_rows() {
+        let table = demo_file().table();
+        assert_eq!(table.name, "demo_bench");
+        assert_eq!(
+            table.header,
+            ["n", "speedup", "censored", "reference_s", "family", "gaps"]
+        );
+        assert_eq!(table.rows.len(), 2);
+        assert_eq!(table.rows[0][..3], ["8", "2.6666666666666665", "false"]);
+        // null is an empty cell; cells holding commas or quotes are quoted.
+        assert_eq!(table.rows[1][3], "");
+        assert_eq!(table.rows[1][4], "\"a,b \"\"quoted\"\"\"");
+        assert_eq!(table.rows[1][5], "\"[null,null,0.125]\"");
     }
 
     #[test]

@@ -177,6 +177,18 @@ impl Serialize for String {
     }
 }
 
+impl Serialize for str {
+    fn to_value(&self) -> Value {
+        Value::Str(self.to_string())
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for &T {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
 impl Deserialize for String {
     fn from_value(value: &Value) -> Result<Self, Error> {
         match value {

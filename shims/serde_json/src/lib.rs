@@ -241,12 +241,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run up to the next quote or escape. Both
+                    // are ASCII, so the run ends on a character boundary,
+                    // and validating only the run keeps parsing linear in
+                    // the input length.
+                    let start = self.pos;
+                    while !matches!(self.bytes.get(self.pos), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -280,7 +285,10 @@ mod tests {
                 "xs".to_string(),
                 Value::Arr(vec![Value::Num(1.5), Value::Num(-2.0)]),
             ),
-            ("name".to_string(), Value::Str("a\"b\\c\n".to_string())),
+            (
+                "name".to_string(),
+                Value::Str("a\"b\\c\nπ→✓ end".to_string()),
+            ),
             ("flag".to_string(), Value::Bool(true)),
             ("gap".to_string(), Value::Null),
         ]);
@@ -303,6 +311,7 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
+        assert!(parse("\"abc").is_err());
     }
 
     #[test]
